@@ -31,14 +31,13 @@ int main() {
       workload::YcsbWorkload ycsb(&eng, ycfg);
       ycsb.Load();
 
-      struct Ctx {
-        workload::YcsbWorkload* y;
-      } ctx{&ycsb};
       sched::Scheduler::Workload w;
-      w.execute = +[](const sched::Request& req, void* c, int worker) {
-        return static_cast<Ctx*>(c)->y->Execute(req, worker);
+      w.step = +[](const sched::Request& req, void* c, int worker,
+                   sched::StepContext*) {
+        Rc rc = static_cast<workload::YcsbWorkload*>(c)->Execute(req, worker);
+        return sched::StepResult{sched::StepStatus::kDone, rc};
       };
-      w.exec_ctx = &ctx;
+      w.exec_ctx = &ycsb;
       FastRandom gen_rng(42);
       w.gen_low = [&](sched::Request* out) {
         *out = ycsb.GenScanAll(gen_rng);

@@ -135,12 +135,14 @@ class MixedBench {
     tpch_.Load();
   }
 
-  static Rc Execute(const sched::Request& req, void* ctx, int worker_id) {
+  // One-shot executor: every transaction finishes in its first step.
+  static sched::StepResult Step(const sched::Request& req, void* ctx,
+                                int worker_id, sched::StepContext* /*sc*/) {
     auto* self = static_cast<MixedBench*>(ctx);
-    if (req.type == workload::TpchWorkload::kQ2) {
-      return self->tpch_.Execute(req, worker_id);
-    }
-    return self->tpcc_.Execute(req, worker_id);
+    Rc rc = req.type == workload::TpchWorkload::kQ2
+                ? self->tpch_.Execute(req, worker_id)
+                : self->tpcc_.Execute(req, worker_id);
+    return {sched::StepStatus::kDone, rc};
   }
 
   // hp_stream=false: no high-priority requests (Fig. 8 overhead mode).
@@ -149,7 +151,7 @@ class MixedBench {
   sched::Scheduler::Workload Hooks(bool hp_stream = true,
                                    bool standard_mix = false) {
     sched::Scheduler::Workload w;
-    w.execute = &MixedBench::Execute;
+    w.step = &MixedBench::Step;
     w.exec_ctx = this;
     if (standard_mix) {
       w.gen_low = [this](sched::Request* out) {

@@ -86,7 +86,7 @@ struct HpArrivals {
   }
 };
 
-// Execute wrapper: runs the real mixed workload, then records the open-loop
+// Executor wrapper: runs the real mixed workload, then records the open-loop
 // latency (completion minus scheduled arrival) into the arrival phase's
 // histogram and feeds the SLO watchdog that the controller reads.
 struct RunCtx {
@@ -96,9 +96,10 @@ struct RunCtx {
   LatencyHistogram lp_lat[kNumPhases];
 };
 
-Rc Execute(const sched::Request& req, void* ctx, int worker_id) {
+sched::StepResult Step(const sched::Request& req, void* ctx, int worker_id,
+                       sched::StepContext* sc) {
   auto* rc = static_cast<RunCtx*>(ctx);
-  Rc r = MixedBench::Execute(req, rc->bench, worker_id);
+  sched::StepResult r = MixedBench::Step(req, rc->bench, worker_id, sc);
   if (req.params[3] != 0) {
     uint64_t now = MonoNanos();
     uint64_t lat = now - req.params[3];
@@ -159,7 +160,7 @@ SweepResult RunSweep(MixedBench& bench, const std::string& label,
 
   FastRandom lp_rng(0x10bull);
   sched::Scheduler::Workload w;
-  w.execute = &Execute;
+  w.step = &Step;
   w.exec_ctx = &ctx;
   w.gen_high = [&arrivals](sched::Request* out) { return arrivals.Gen(out); };
   w.gen_low = [&bench, &lp_rng, &arrivals](sched::Request* out) {

@@ -633,13 +633,13 @@ int main(int argc, char** argv) {
     }
     for (int i = 0; i < cfg.conns; ++i) {
       OpenLoopConn* c = open_conns[static_cast<size_t>(i)].get();
+      // Arrival schedule and op stream are both seeded from the connection
+      // index, so the same flags replay the same per-connection traffic.
       Schedule sched(cfg, per_conn_rate, start_ns,
                      0x10adull + static_cast<uint64_t>(i) * 7919);
-      threads.emplace_back([&, c, sched] {
-        Schedule s = sched;
-        c->Sender(cfg, s, horizon_ns,
-                  0xfeedull +
-                      static_cast<uint64_t>(c->primary.client.fd()) * 104729);
+      const uint64_t op_seed = 0xfeedull + static_cast<uint64_t>(i) * 104729;
+      threads.emplace_back([&, c, sched, op_seed] {
+        c->Sender(cfg, sched, horizon_ns, op_seed);
       });
       threads.emplace_back([c] { c->primary.Receiver(); });
       if (c->replica != nullptr) {

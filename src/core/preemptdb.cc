@@ -91,7 +91,7 @@ DB::DB(const Options& options) {
   }
   if (options.start_scheduler) {
     sched::Scheduler::Workload workload;
-    workload.execute = &DB::ExecuteThunk;
+    workload.step = &DB::StepThunk;
     workload.exec_ctx = this;
     workload.gen_low = [this](sched::Request* out) {
       return PopSubmission(sched::Priority::kLow, out);
@@ -217,7 +217,8 @@ Rc DB::Execute(const TxnFn& fn, const RetryPolicy& retry) {
   return RunWithRetry(fn, retry, reinterpret_cast<uint64_t>(&fn), 0);
 }
 
-Rc DB::ExecuteThunk(const sched::Request& req, void* ctx, int /*worker_id*/) {
+sched::StepResult DB::StepThunk(const sched::Request& req, void* ctx,
+                                int /*worker_id*/, sched::StepContext* /*sc*/) {
   auto* db = static_cast<DB*>(ctx);
   auto* c = reinterpret_cast<Closure*>(req.params[0]);
   // Last-chance expiry: the deadline may have passed between placement and
@@ -230,7 +231,7 @@ Rc DB::ExecuteThunk(const sched::Request& req, void* ctx, int /*worker_id*/) {
     // a dangling pointer.
     if (c->timeline != nullptr) obs::SetActiveTimeline(nullptr);
     db->CompleteWithoutRunning(c, Rc::kTimeout);
-    return Rc::kTimeout;
+    return {sched::StepStatus::kDone, Rc::kTimeout};
   }
   Rc rc = db->RunWithRetry(c->fn, c->retry, reinterpret_cast<uint64_t>(c),
                            req.deadline_ns);
@@ -253,7 +254,7 @@ Rc DB::ExecuteThunk(const sched::Request& req, void* ctx, int /*worker_id*/) {
   if (c->on_complete) c->on_complete(rc);
   delete c;
   db->completed_.fetch_add(1, std::memory_order_release);
-  return rc;
+  return {sched::StepStatus::kDone, rc};
 }
 
 SubmitResult DB::Submit(sched::Priority priority, TxnFn fn,

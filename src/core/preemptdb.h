@@ -178,7 +178,10 @@ class DB {
   struct Closure;
 
   explicit DB(const Options& options);
-  static Rc ExecuteThunk(const sched::Request& req, void* ctx, int worker_id);
+  // The scheduler's executor: runs one submitted closure to completion in a
+  // single step.
+  static sched::StepResult StepThunk(const sched::Request& req, void* ctx,
+                                     int worker_id, sched::StepContext* sc);
   bool PopSubmission(sched::Priority priority, sched::Request* out);
   // Completes `c` without running it (deadline expiry): publishes `rc` to
   // any waiter, counts it as completed, and frees the closure.

@@ -55,26 +55,12 @@ uint64_t ScanValidLogEnd(const std::string& path, uint64_t from_off) {
 }
 
 bool Applier::ApplyChunk(const char* data, size_t n) {
-  sched::StepContext sc;
-  sched::StepResult sr;
-  do {
-    sr = ApplyChunkStep(data, n, UINT64_MAX, &sc);
-    ++sc.steps;
-  } while (sr.status != sched::StepStatus::kDone);
-  return IsOk(sr.rc);
-}
-
-sched::StepResult Applier::ApplyChunkStep(const char* data, size_t n,
-                                          uint64_t max_frames,
-                                          sched::StepContext* sc) {
-  // Suppress DDL re-logging for the duration of this step only (see
-  // Engine::SetReplicaApply) — the flag must not leak across a yield into
-  // whatever transaction runs in a sibling slot next.
+  // Suppress DDL re-logging while this chunk applies (see
+  // Engine::SetReplicaApply).
   engine_->SetReplicaApply(true);
-  size_t pos = static_cast<size_t>(sc->u64[0]);
-  uint64_t frames = 0;
+  size_t pos = 0;
   bool ok = true;
-  while (pos + sizeof(engine::SegmentHeader) <= n && frames < max_frames) {
+  while (pos + sizeof(engine::SegmentHeader) <= n) {
     engine::SegmentHeader sh;
     std::memcpy(&sh, data + pos, sizeof(sh));
     if (sh.magic != engine::kSegmentMagic ||
@@ -120,19 +106,10 @@ sched::StepResult Applier::ApplyChunkStep(const char* data, size_t n,
       }
     }
     pos += sizeof(sh) + sh.length;
-    ++frames;
   }
   engine_->SetReplicaApply(false);
-  sc->u64[0] = pos;
-  if (ok && pos + sizeof(engine::SegmentHeader) <= n) {
-    // Budget exhausted with frames left: warm the next header's line while
-    // a sibling slot runs, then resume here.
-    __builtin_prefetch(static_cast<const void*>(data + pos), 0, 3);
-    ++sc->prefetches;
-    return {sched::StepStatus::kYieldedVoluntary, Rc::kOk};
-  }
   g_apply_chunks.Add();
-  return {sched::StepStatus::kDone, ok && pos == n ? Rc::kOk : Rc::kError};
+  return ok && pos == n;
 }
 
 void Applier::ApplyRecord(uint64_t seq, const engine::LogRecordHeader& h,

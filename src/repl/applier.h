@@ -28,7 +28,6 @@
 
 #include "engine/engine.h"
 #include "engine/log.h"
-#include "sched/request.h"
 #include "util/macros.h"
 
 namespace preemptdb::repl {
@@ -62,22 +61,9 @@ class Applier {
   // ValidateFrames and landed it via LogManager::AppendRaw first, so the
   // on-disk log is always at least as new as the in-memory state a crash
   // must rebuild). Returns false on a malformed frame — the caller's
-  // validation makes that unreachable in practice. Drive-to-completion
-  // loop over ApplyChunkStep.
+  // validation makes that unreachable in practice. Transaction groups
+  // publish only at their kSegTxnEnd frame.
   bool ApplyChunk(const char* data, size_t n);
-
-  // Resumable-step form of the chunk apply, on the scheduler's StepFn
-  // contract (sched/request.h): each call applies at most `max_frames`
-  // whole segments, keeps its resume offset in sc->u64[0], prefetches the
-  // next segment header before yielding (counted in sc->prefetches), and
-  // returns kYieldedVoluntary until the chunk is exhausted — so a replica
-  // that also serves reads can interleave apply work with them slot-for-
-  // slot instead of disappearing into one long chunk. Transaction
-  // atomicity is untouched: groups still publish only at their kSegTxnEnd
-  // frame, whichever step that frame lands in.
-  sched::StepResult ApplyChunkStep(const char* data, size_t n,
-                                   uint64_t max_frames,
-                                   sched::StepContext* sc);
 
   // Highest commit_seq whose full group has been applied and published.
   uint64_t applied_seq() const {

@@ -28,12 +28,12 @@ Scheduler::Scheduler(const SchedulerConfig& config, Workload workload)
                     config.hp_queue_capacity),
       workload_(std::move(workload)),
       stats_reporter_(config.stats_period_ms) {
-  PDB_CHECK(workload_.execute != nullptr || workload_.step != nullptr);
+  PDB_CHECK(workload_.step != nullptr);
   PDB_CHECK(config_.num_workers >= 1);
   for (int i = 0; i < config_.num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(
-        i, config_, &tunables_, workload_.execute, workload_.step,
-        workload_.exec_ctx, &metrics_));
+        i, config_, &tunables_, workload_.step, workload_.exec_ctx,
+        &metrics_));
   }
   health_.resize(workers_.size());
 }

@@ -31,13 +31,12 @@ class Scheduler {
   struct Workload {
     std::function<bool(Request*)> gen_low;
     std::function<bool(Request*)> gen_high;
-    ExecuteFn execute = nullptr;
-    // Resumable executor (CoroBase-style interleaving). When set, workers
-    // dispatch low-priority work through the slot dispatcher, stepping up to
-    // tunables().interleave_slots() transactions round-robin; `execute` may
-    // be left null (when both are set, `step` wins and `execute` is
-    // ignored). High-priority requests always run to completion in one go
-    // (steps driven back-to-back), so preemption latency is unchanged.
+    // The executor (required). Workers step low-priority requests through
+    // the interleaving slot dispatcher, up to tunables().interleave_slots()
+    // transactions round-robin; a one-shot executor returns {kDone, rc} on
+    // its first call. High-priority requests always run to completion in
+    // one go (steps driven back-to-back), so preemption latency is
+    // unchanged.
     StepFn step = nullptr;
     void* exec_ctx = nullptr;
     // Invoked (on the scheduling thread) for each high-priority request

@@ -73,9 +73,10 @@ struct TunableValues {
 
   // Interleaving slots per worker (CoroBase-style batch depth): how many
   // resumable low-priority transactions a worker round-robins at once.
-  // 1 = classic one-at-a-time execution; only consulted when the workload
-  // installs a StepFn. Runtime-tunable so the adaptive controller can trade
-  // LP throughput (deeper batch) against cache pressure.
+  // 1 = classic one-at-a-time execution. Under Wait/Cooperative it also sets
+  // how many LP steps run between HP queue checks. Runtime-tunable so the
+  // adaptive controller can trade LP throughput (deeper batch) against cache
+  // pressure.
   int interleave_slots = 1;
 };
 

@@ -32,15 +32,27 @@ thread_local Worker* tls_worker = nullptr;
 // pause to the interrupted transaction's timeline. Main-context write,
 // preempt-context read, same thread — no atomics needed.
 thread_local bool tls_entered_via_yield = false;
+
+// Installs `req`'s timeline (if it carries one) as the thread's active
+// timeline, stamping first_run_ns on its first step. Returns the previous
+// active timeline; the caller restores it after the step. Only the pointer
+// is restored — after a kDone step the completion callback may have freed
+// *req.timeline.
+obs::TxnTimeline* EnterTimeline(const Request& req) {
+  if (req.timeline == nullptr) return nullptr;
+  if (req.timeline->first_run_ns == 0) {
+    req.timeline->first_run_ns = MonoNanos();
+  }
+  return obs::SetActiveTimeline(req.timeline);
+}
 }  // namespace
 
 Worker::Worker(int id, const SchedulerConfig& config,
-               const TunableConfig* tunables, ExecuteFn execute, StepFn step,
-               void* exec_ctx, Metrics* metrics)
+               const TunableConfig* tunables, StepFn step, void* exec_ctx,
+               Metrics* metrics)
     : id_(id),
       config_(config),
       tunables_(tunables),
-      execute_(execute),
       step_(step),
       exec_ctx_(exec_ctx),
       metrics_(metrics),
@@ -84,8 +96,8 @@ void Worker::ThreadBody() {
                                             uintr::kDefaultFiberStackBytes,
                                             config_.pending_mode),
                     std::memory_order_release);
-    // Delivery is enabled only while a low-priority transaction runs
-    // (Stui/Clui brackets in MainLoop).
+    // Delivery is enabled only while a low-priority step runs (Stui/Clui
+    // brackets in InterleaveLoop).
     uintr::Clui();
   }
   if (config_.policy == Policy::kCooperative) {
@@ -104,7 +116,7 @@ void Worker::ThreadBody() {
     engine::hooks::Install(&YieldHookThunk, config_.yield_interval_records, 0);
   }
   ready_.store(true, std::memory_order_release);
-  MainLoop();
+  InterleaveLoop();
   engine::hooks::Uninstall();
   if (config_.register_receivers) {
     uintr::UnregisterReceiver();
@@ -116,46 +128,34 @@ void Worker::RunRequest(const Request& req, bool count_starvation) {
   // arg = submitting shard so sharded-front-end traces attribute each txn to
   // the event loop that admitted it (0 for single-shard / non-net work).
   obs::Trace(obs::EventType::kTxnStart, req.type, req.shard_id);
-  // Timeline bookkeeping happens strictly before execute_: once the
-  // executor fires the completion callback (inside execute_), the timeline's
-  // owner may free it, so nothing here may touch *req.timeline afterwards —
-  // only the thread-local pointer is restored. The previous active timeline
-  // is preserved because the preemptive context runs HP requests *above* a
-  // paused LP transaction whose timeline must come back into effect.
-  obs::TxnTimeline* prev_tl = nullptr;
-  if (req.timeline != nullptr) {
-    if (req.timeline->first_run_ns == 0) {
-      req.timeline->first_run_ns = MonoNanos();
-    }
-    prev_tl = obs::SetActiveTimeline(req.timeline);
-  }
+  // The previous active timeline is preserved because the preemptive
+  // context runs HP requests *above* a paused LP transaction whose timeline
+  // must come back into effect.
+  obs::TxnTimeline* prev_tl = EnterTimeline(req);
   uint64_t c0 = count_starvation ? RdtscP() : 0;
-  Rc rc;
-  if (step_ == nullptr) {
-    rc = execute_(req, exec_ctx_, id_);
-  } else {
-    // StepFn workload: drive the resumable executor to completion
-    // back-to-back. High-priority requests take this route, so a StepFn
-    // workload needs no separate one-shot executor and preemption latency
-    // is unchanged (no sibling work is interposed here).
-    StepContext sc;
-    StepResult sr;
-    do {
-      sr = step_(req, exec_ctx_, id_, &sc);
-      ++sc.steps;
-    } while (sr.status != StepStatus::kDone);
-    rc = sr.rc;
-  }
+  // High-priority work runs to completion in one go: the step function is
+  // driven back-to-back with no sibling work interposed, so preemption
+  // latency does not depend on the interleave depth.
+  StepContext sc;
+  StepResult sr;
+  do {
+    sr = step_(req, exec_ctx_, id_, &sc);
+    ++sc.steps;
+  } while (sr.status != StepStatus::kDone);
   if (req.timeline != nullptr) obs::SetActiveTimeline(prev_tl);
+  RecordDone(req, sr.rc);
+  if (count_starvation) {
+    th_cycles_.fetch_add(RdtscP() - c0, std::memory_order_relaxed);
+  }
+}
+
+void Worker::RecordDone(const Request& req, Rc rc) {
   uint64_t done = MonoNanos();
   metrics_->Record(req.type, req.gen_ns, done, rc);
   if (IsOk(rc)) {
     obs::Trace(obs::EventType::kTxnCommit, req.type, done - req.gen_ns);
   } else {
     obs::Trace(obs::EventType::kTxnAbort, req.type);
-  }
-  if (count_starvation) {
-    th_cycles_.fetch_add(RdtscP() - c0, std::memory_order_relaxed);
   }
 }
 
@@ -176,84 +176,29 @@ bool Worker::StarvationExceeded() const {
   return StarvationLevel() >= tunables_->starvation_threshold();
 }
 
-void Worker::MainLoop() {
-  if (step_ != nullptr) {
-    InterleaveLoop();
-    return;
-  }
-  // Regular-path queue preference (paper §4.1): under Wait/Cooperative the
-  // worker checks the high-priority queue first at every transaction
-  // boundary and exhausts it before the next Q2 — that is the only way HP
-  // work runs at all. Under PreemptDB the regular path serves low-priority
-  // transactions (HP work arrives via preemption, Fig. 5 path 1) and falls
-  // back to the HP queue only when no LP work exists (path 2, e.g. after a
-  // dropped interrupt); preferring HP here would let a constant HP stream
-  // keep Q2 from ever *starting*, which no starvation threshold could fix.
-  // A degraded preempt worker flips to the cooperative preference at runtime:
+void Worker::InterleaveLoop() {
+  // The regular scheduling path (Fig. 5 context 1). Low-priority
+  // transactions occupy a fixed slot array and are stepped round-robin, one
+  // step per active slot per dispatch round, up to interleave_slots() at a
+  // time. At the default depth of 1 with a one-step executor a round is one
+  // whole transaction, so this is the plain pop-run-repeat loop.
+  //
+  // Queue preference (paper §4.1), applied at round boundaries: under
+  // Wait/Cooperative the worker checks the high-priority queue first and
+  // exhausts it before the next round — that is the only way HP work runs
+  // at all. At depth > 1 a round steps every active slot, so these policies
+  // see the HP queue once per round: with one-step executors, after up to
+  // `depth` LP transactions rather than after each one. Every active slot is
+  // suspended between rounds, so HP work running there nests above paused
+  // LP transactions that hold no latches, exactly like a cooperative yield
+  // point. Under PreemptDB the regular path serves low-priority work (HP
+  // work arrives via preemption, Fig. 5 path 1) and falls back to the HP
+  // queue only when no LP work exists (path 2, e.g. after a dropped
+  // interrupt); preferring HP here would let a constant HP stream keep Q2
+  // from ever *starting*, which no starvation threshold could fix. A
+  // degraded preempt worker flips to the cooperative preference at runtime:
   // with its interrupts undeliverable, boundary checks are the only way HP
   // work starts promptly.
-  const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
-  int idle_polls = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const bool prefer_hp =
-        policy_prefers_hp || degraded_.load(std::memory_order_relaxed);
-    Request req;
-    auto try_hp = [&] {
-      // The drain is wrapped in a non-preemptible region so an interrupt
-      // arriving here is dropped rather than stacking a second drain on
-      // top of this one.
-      uintr::NonPreemptibleRegion guard;
-      return hp_queue_.TryPop(&req);
-    };
-    auto run_hp = [&] {
-      idle_polls = 0;
-      obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
-      RunRequest(req, /*count_starvation=*/false);
-      hp_executed_.fetch_add(1, std::memory_order_relaxed);
-    };
-    if (prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
-    if (lp_queue_.TryPop(&req)) {
-      idle_polls = 0;
-      // Start-of-LP bookkeeping (paper Fig. 7): record T0, reset T_h.
-      th_cycles_.store(0, std::memory_order_release);
-      t0_cycles_.store(RdtscP(), std::memory_order_release);
-      // Interrupts are meaningful only while a low-priority transaction is
-      // in progress — that is what preemption pauses. Masking delivery
-      // outside this window (clui/stui, §2.3) keeps a saturating
-      // high-priority stream from interrupt-storming the regular path so
-      // hard that it never reaches the next low-priority transaction.
-      uintr::Stui();
-      RunRequest(req, /*count_starvation=*/false);
-      uintr::Clui();
-      t0_cycles_.store(0, std::memory_order_release);
-      lp_executed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
-    idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
-    if (idle_polls > 100) {
-      // Deep idle: sleep instead of spinning so active threads (and signal
-      // deliveries) get the core promptly on small machines.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    } else {
-      sched_yield();
-    }
-  }
-}
-
-void Worker::InterleaveLoop() {
-  // Interleaving variant of MainLoop (step_ != nullptr). The queue
-  // preference rules are the legacy loop's, applied at dispatch-round
-  // boundaries: every active slot is suspended between rounds, so running a
-  // high-priority request to completion there is exactly the cooperative
-  // yield-point behaviour (HP work nests above paused LP transactions that
-  // hold no latches at suspension points).
   const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
 
   struct Slot {
@@ -278,6 +223,9 @@ void Worker::InterleaveLoop() {
         policy_prefers_hp || degraded_.load(std::memory_order_relaxed);
     Request hp_req;
     auto try_hp = [&] {
+      // The drain is wrapped in a non-preemptible region so an interrupt
+      // arriving here is dropped rather than stacking a second drain on
+      // top of this one.
       uintr::NonPreemptibleRegion guard;
       return hp_queue_.TryPop(&hp_req);
     };
@@ -292,14 +240,12 @@ void Worker::InterleaveLoop() {
       continue;
     }
 
-    // Refill free slots up to the live interleave depth. Depth shrink takes
-    // effect by attrition (extra active slots finish and are not refilled).
+    // Refill free slots up to the live interleave depth (TunableConfig keeps
+    // it in [1, kInterleaveSlotsMax]). Depth shrink takes effect by
+    // attrition (extra active slots finish and are not refilled).
     if (!stop_.load(std::memory_order_acquire)) {
-      int want = tunables_->interleave_slots();
-      if (want < kInterleaveSlotsMin) want = kInterleaveSlotsMin;
-      if (want > kInterleaveSlotsMax) want = kInterleaveSlotsMax;
-      for (int i = 0; i < kInterleaveSlotsMax && static_cast<int>(active) < want;
-           ++i) {
+      const size_t want = static_cast<size_t>(tunables_->interleave_slots());
+      for (int i = 0; i < kInterleaveSlotsMax && active < want; ++i) {
         Slot& s = slots[i];
         if (s.active) continue;
         if (!lp_queue_.TryPop(&s.req)) break;
@@ -325,21 +271,16 @@ void Worker::InterleaveLoop() {
         size_t idx = (rr + i) % kInterleaveSlotsMax;
         Slot& s = slots[idx];
         if (!s.active) continue;
-        // Timeline bookkeeping per step: between steps another slot's
-        // transaction owns the thread's active timeline, so install/restore
-        // brackets every step. Restores only the pointer — on the final
-        // step the executor's completion callback may have freed *timeline.
-        obs::TxnTimeline* prev_tl = nullptr;
-        if (s.req.timeline != nullptr) {
-          if (s.req.timeline->first_run_ns == 0) {
-            s.req.timeline->first_run_ns = MonoNanos();
-          }
-          prev_tl = obs::SetActiveTimeline(s.req.timeline);
-        }
-        // Interrupt delivery is enabled exactly while a low-priority step
-        // runs (same Stui/Clui window as the legacy loop's RunRequest): a
-        // preempt pauses whichever slot is live and the starvation drain in
-        // PreemptLoop accounts its cycles into the current t0/th window.
+        // Between steps another slot's transaction owns the thread's active
+        // timeline, so install/restore brackets every step.
+        obs::TxnTimeline* prev_tl = EnterTimeline(s.req);
+        // Interrupts are meaningful only while a low-priority step runs —
+        // that is what preemption pauses. Masking delivery outside this
+        // window (clui/stui, §2.3) keeps a saturating high-priority stream
+        // from interrupt-storming the regular path so hard that it never
+        // reaches the next low-priority step. A preempt pauses whichever
+        // slot is live and the starvation drain in PreemptLoop accounts its
+        // cycles into the current t0/th window.
         uintr::Stui();
         StepResult sr = step_(s.req, exec_ctx_, id_, &s.sc);
         uintr::Clui();
@@ -347,14 +288,7 @@ void Worker::InterleaveLoop() {
         ++stepped;
         if (s.req.timeline != nullptr) obs::SetActiveTimeline(prev_tl);
         if (sr.status == StepStatus::kDone) {
-          uint64_t done = MonoNanos();
-          metrics_->Record(s.req.type, s.req.gen_ns, done, sr.rc);
-          if (IsOk(sr.rc)) {
-            obs::Trace(obs::EventType::kTxnCommit, s.req.type,
-                       done - s.req.gen_ns);
-          } else {
-            obs::Trace(obs::EventType::kTxnAbort, s.req.type);
-          }
+          RecordDone(s.req, sr.rc);
           g_ilv_txns.Add();
           g_ilv_prefetch.Add(s.sc.prefetches);
           s.active = false;
@@ -399,6 +333,8 @@ void Worker::InterleaveLoop() {
     }
     idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
     if (idle_polls > 100) {
+      // Deep idle: sleep instead of spinning so active threads (and signal
+      // deliveries) get the core promptly on small machines.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     } else {
       sched_yield();

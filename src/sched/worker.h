@@ -23,12 +23,11 @@ class Worker {
  public:
   // `tunables` is the owning scheduler's runtime knob registry (outlives the
   // worker); the worker reads the starvation knobs from it on every drain
-  // and the interleave depth on every slot refill. Exactly one of
-  // `execute` / `step` must be non-null for the worker to run work; when
-  // `step` is set the main loop dispatches low-priority transactions through
-  // the interleaving slot array (see InterleaveLoop).
+  // and the interleave depth on every slot refill. `step` (non-null) runs
+  // every request: low-priority ones through the interleaving slot array
+  // (see InterleaveLoop), high-priority ones driven to completion.
   Worker(int id, const SchedulerConfig& config, const TunableConfig* tunables,
-         ExecuteFn execute, StepFn step, void* exec_ctx, Metrics* metrics);
+         StepFn step, void* exec_ctx, Metrics* metrics);
   ~Worker();
   PDB_DISALLOW_COPY_AND_ASSIGN(Worker);
 
@@ -88,21 +87,23 @@ class Worker {
   static void YieldHookThunk();
 
   void ThreadBody();
-  void MainLoop();
-  // CoroBase-style interleaving dispatcher (MainLoop body when a StepFn is
-  // installed): round-robins up to tunables->interleave_slots() resumable
-  // low-priority transactions over a fixed slot array so a stalled slot's
-  // sibling runs while the stalled one's prefetched line arrives. Preserves
-  // the legacy loop's Stui/Clui brackets (per step), t0/th starvation
-  // window (per oldest-active-slot), and HP queue preference rules.
+  // The regular path: a CoroBase-style interleaving dispatcher that
+  // round-robins up to tunables->interleave_slots() resumable low-priority
+  // transactions over a fixed slot array, so a stalled slot's sibling runs
+  // while the stalled one's prefetched line arrives. Brackets each LP step
+  // with Stui/Clui, anchors the t0/th starvation window to one active slot,
+  // and applies the per-policy HP queue preference at round boundaries. At
+  // depth 1 with a one-step executor it is the plain pop-run-repeat loop.
   void InterleaveLoop();
   void PreemptLoop();  // context-2 body; never returns
   void YieldHook();    // cooperative yield point
 
-  // Runs one request and records metrics. `count_starvation` accumulates
-  // its cycles into T_h (used when running in the preemptive context above a
-  // paused low-priority transaction).
+  // Runs one high-priority request to completion and records metrics.
+  // `count_starvation` accumulates its cycles into T_h (used when running in
+  // the preemptive context above a paused low-priority transaction).
   void RunRequest(const Request& req, bool count_starvation);
+  // Records a finished request's outcome in metrics_ and the trace.
+  void RecordDone(const Request& req, Rc rc);
 
   // True if the starvation threshold forbids running more high-priority
   // work on this worker right now.
@@ -111,7 +112,6 @@ class Worker {
   const int id_;
   const SchedulerConfig& config_;
   const TunableConfig* const tunables_;
-  const ExecuteFn execute_;
   const StepFn step_;
   void* const exec_ctx_;
   Metrics* const metrics_;

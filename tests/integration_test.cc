@@ -31,17 +31,18 @@ struct MixedWorkload {
     tpch.Load();
   }
 
-  static Rc Execute(const sched::Request& req, void* ctx, int worker_id) {
+  static sched::StepResult Step(const sched::Request& req, void* ctx,
+                                int worker_id, sched::StepContext* /*sc*/) {
     auto* self = static_cast<MixedWorkload*>(ctx);
-    if (req.type == workload::TpchWorkload::kQ2) {
-      return self->tpch.Execute(req, worker_id);
-    }
-    return self->tpcc.Execute(req, worker_id);
+    Rc rc = req.type == workload::TpchWorkload::kQ2
+                ? self->tpch.Execute(req, worker_id)
+                : self->tpcc.Execute(req, worker_id);
+    return {sched::StepStatus::kDone, rc};
   }
 
   sched::Scheduler::Workload Hooks() {
     sched::Scheduler::Workload w;
-    w.execute = &MixedWorkload::Execute;
+    w.step = &MixedWorkload::Step;
     w.exec_ctx = this;
     w.gen_low = [this](sched::Request* out) {
       *out = tpch.GenQ2(gen_rng);

@@ -109,16 +109,30 @@ void RunFor(Scheduler& s, std::chrono::milliseconds dur) {
 }
 
 TEST(Interleave, StepWorkloadCompletesAtEveryDepth) {
-  for (int depth : {1, 2, 8}) {
-    StepWorkload wl;
-    Scheduler s(BaseConfig(Policy::kWait, depth), wl.Hooks());
-    RunFor(s, 400ms);
-    EXPECT_GT(wl.lp_done.load(), 0u) << "depth " << depth;
-    EXPECT_GT(wl.hp_done.load(), 0u) << "depth " << depth;
-    EXPECT_EQ(s.metrics().type(0).committed.load(), wl.lp_done.load())
-        << "every kDone must be recorded exactly once at depth " << depth;
-    // Stages resume where they left off: the executor saw its last stage.
-    EXPECT_EQ(wl.max_stage_seen.load(), wl.lp_stages - 1);
+  // lp_stages = 1 is the one-shot executor (kDone on the first call), which
+  // runs through the same slot dispatcher as a multi-step one.
+  for (uint64_t stages : {1, 4}) {
+    for (int depth : {1, 2, 8}) {
+      StepWorkload wl;
+      wl.lp_stages = stages;
+      uint64_t txns0 = CounterValue("sched.interleave.txns");
+      Scheduler s(BaseConfig(Policy::kWait, depth), wl.Hooks());
+      RunFor(s, 400ms);
+      const std::string at = "stages " + std::to_string(stages) +
+                             " depth " + std::to_string(depth);
+      EXPECT_GT(wl.lp_done.load(), 0u) << at;
+      EXPECT_GT(wl.hp_done.load(), 0u) << at;
+      EXPECT_EQ(s.metrics().type(0).committed.load(), wl.lp_done.load())
+          << "every kDone must be recorded exactly once at " << at;
+      EXPECT_EQ(s.metrics().type(1).committed.load(), wl.hp_done.load())
+          << at;
+      EXPECT_EQ(CounterValue("sched.interleave.txns") - txns0,
+                wl.lp_done.load())
+          << "each LP completion counts once in sched.interleave.txns at "
+          << at;
+      // Stages resume where they left off: the executor saw its last stage.
+      EXPECT_EQ(wl.max_stage_seen.load(), wl.lp_stages - 1) << at;
+    }
   }
 }
 

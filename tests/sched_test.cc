@@ -23,18 +23,19 @@ struct SpinWorkload {
   uint64_t lp_us = 10000;
   uint64_t hp_us = 50;
 
-  static Rc Execute(const Request& req, void* /*ctx*/, int /*worker*/) {
+  static StepResult Step(const Request& req, void* /*ctx*/, int /*worker*/,
+                         StepContext* /*sc*/) {
     uint64_t until = MonoMicros() + req.params[0];
     while (MonoMicros() < until) {
       // Mimic engine record accesses so Cooperative can yield.
       engine::hooks::OnRecordAccess();
     }
-    return Rc::kOk;
+    return {StepStatus::kDone, Rc::kOk};
   }
 
   Scheduler::Workload Hooks() {
     Scheduler::Workload w;
-    w.execute = &SpinWorkload::Execute;
+    w.step = &SpinWorkload::Step;
     w.exec_ctx = this;
     w.gen_low = [this](Request* out) {
       out->type = 0;
@@ -243,9 +244,9 @@ TEST(Scheduler, GeneratorDrivenStopsWhenDry) {
     std::atomic<int> executed{0};
   } fixed;
   Scheduler::Workload w;
-  w.execute = +[](const Request&, void* ctx, int) {
+  w.step = +[](const Request&, void* ctx, int, StepContext*) {
     static_cast<Fixed*>(ctx)->executed.fetch_add(1);
-    return Rc::kOk;
+    return StepResult{StepStatus::kDone, Rc::kOk};
   };
   w.exec_ctx = &fixed;
   w.gen_high = [&fixed](Request* out) {
@@ -257,10 +258,15 @@ TEST(Scheduler, GeneratorDrivenStopsWhenDry) {
     out->type = 1;
     return true;
   };
+  // A request the scheduler could not place before the next arrival tick
+  // (workers descheduled under CPU contention) is shed; hand it back to the
+  // generator so it is produced again, as the DB facade requeues its shed
+  // closures. Without this, shed requests are dropped and never execute.
+  w.on_shed = [&fixed](const Request&) { fixed.remaining.fetch_add(1); };
   auto cfg = BaseConfig(Policy::kPreempt);
   Scheduler s(cfg, w);
   RunFor(s, 500ms);
-  EXPECT_EQ(fixed.executed.load(), 20);
+  EXPECT_EQ(fixed.executed.load(), 20) << "shed: " << s.hp_dropped();
 }
 
 TEST(Scheduler, SaturatingHpStreamCannotStarveRegularPath) {

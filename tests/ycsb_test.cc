@@ -122,14 +122,13 @@ TEST(YcsbSched, PreemptionServesPointTxnsDuringScans) {
   YcsbWorkload ycsb(&eng, cfg);
   ycsb.Load();
 
-  struct Ctx {
-    YcsbWorkload* ycsb;
-  } ctx{&ycsb};
   sched::Scheduler::Workload w;
-  w.execute = +[](const sched::Request& req, void* c, int worker) {
-    return static_cast<Ctx*>(c)->ycsb->Execute(req, worker);
+  w.step = +[](const sched::Request& req, void* c, int worker,
+               sched::StepContext*) {
+    Rc rc = static_cast<YcsbWorkload*>(c)->Execute(req, worker);
+    return sched::StepResult{sched::StepStatus::kDone, rc};
   };
-  w.exec_ctx = &ctx;
+  w.exec_ctx = &ycsb;
   static thread_local FastRandom gen_rng(7);
   w.gen_low = [&ycsb](sched::Request* out) {
     *out = ycsb.GenScanAll(gen_rng);
