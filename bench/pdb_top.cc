@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -74,6 +75,41 @@ void PrintStageRow(const obs::JsonValue& metrics, const char* label,
   double p50 = 0, p99 = 0, count = 0;
   if (!StagePcts(metrics, name, &p50, &p99, &count)) return;
   std::printf("  %-26s %10.0f %10.1f %10.1f\n", label, count, p50, p99);
+}
+
+// Names the stage with the largest p50 on one class's request path (admit,
+// the class's queue_wait and run, reply) and its ratio to the class's run
+// stage, e.g. "HP dominant: queue_wait 480x run": a dispatch- or
+// reply-bound server shows at a glance. Silent until the class has run.
+void PrintDominantStage(const obs::JsonValue& metrics, const char* cls,
+                        const std::string& suffix) {
+  double run_p50 = 0, p99 = 0, count = 0;
+  if (!StagePcts(metrics, ("sched.stage.run_" + suffix).c_str(), &run_p50,
+                 &p99, &count) ||
+      count == 0 || run_p50 <= 0) {
+    return;
+  }
+  const std::string queue_wait = "sched.stage.queue_wait_" + suffix;
+  const std::pair<const char*, const char*> others[] = {
+      {"admit", "net.stage.admit"},
+      {"queue_wait", queue_wait.c_str()},
+      {"reply", "net.stage.reply"},
+  };
+  const char* top = nullptr;
+  double top_p50 = run_p50;
+  for (const auto& [label, name] : others) {
+    double p50 = 0;
+    if (StagePcts(metrics, name, &p50, &p99, &count) && count > 0 &&
+        p50 > top_p50) {
+      top = label;
+      top_p50 = p50;
+    }
+  }
+  if (top == nullptr) {
+    std::printf("%s dominant: run\n", cls);
+  } else {
+    std::printf("%s dominant: %s %.0fx run\n", cls, top, top_p50 / run_p50);
+  }
 }
 
 // "k=v,k=v" -> the kSetConfig JSON changeset. Values are passed through
@@ -255,6 +291,8 @@ int main(int argc, char** argv) {
     PrintStageRow(metrics, "sched.run LP", "sched.stage.run_lp");
     PrintStageRow(metrics, "net.stage.reply", "net.stage.reply");
     PrintStageRow(metrics, "net.stage.total", "net.stage.total");
+    PrintDominantStage(metrics, "HP", "hp");
+    PrintDominantStage(metrics, "LP", "lp");
 
     const obs::JsonValue* slo = health.Find("slo");
     if (slo != nullptr) {

@@ -62,7 +62,7 @@ struct TunableValues {
   bool starvation_enabled = false;
   double starvation_threshold = 0.5;  // L_max, only consulted when enabled
 
-  // High-priority admission batch per scheduling tick; 0 = auto
+  // High-priority admission batch per placement pass; 0 = auto
   // (num_workers * hp_queue_capacity, the paper §6.1 default).
   size_t hp_batch_size = 0;
 

@@ -2,7 +2,6 @@
 
 #include <sched.h>
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -193,13 +192,16 @@ void Worker::InterleaveLoop() {
   // LP transactions that hold no latches, exactly like a cooperative yield
   // point. Under PreemptDB the regular path serves low-priority work (HP
   // work arrives via preemption, Fig. 5 path 1) and falls back to the HP
-  // queue only when no LP work exists (path 2, e.g. after a dropped
-  // interrupt); preferring HP here would let a constant HP stream keep Q2
-  // from ever *starting*, which no starvation threshold could fix. A
-  // degraded preempt worker flips to the cooperative preference at runtime:
-  // with its interrupts undeliverable, boundary checks are the only way HP
-  // work starts promptly.
+  // queue only when no LP work exists (path 2); an interrupt dropped while
+  // delivery was off is taken as pending before the next LP step instead.
+  // Preferring HP here would let a constant HP stream keep Q2 from ever
+  // *starting*, which no starvation threshold could fix. A degraded preempt
+  // worker flips to the cooperative preference at runtime: with its
+  // interrupts undeliverable, boundary checks are the only way HP work
+  // starts promptly.
   const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
+  const bool preempt_at_steps =
+      config_.policy == Policy::kPreempt && config_.register_receivers;
 
   struct Slot {
     Request req;
@@ -271,6 +273,16 @@ void Worker::InterleaveLoop() {
         size_t idx = (rr + i) % kInterleaveSlotsMax;
         Slot& s = slots[idx];
         if (!s.active) continue;
+        // Pending-interrupt delivery (UINTR semantics: a posted interrupt
+        // stays pending until stui). An interrupt that landed while delivery
+        // was off between steps, or inside a non-preemptible region, was
+        // dropped by the handler; the HP work it announced is still queued.
+        // Take it now, before delivery is re-enabled, through the same
+        // bounded, starvation-accounted drain an interrupt would enter. Per
+        // step, not per round: a round at depth > 1 can be long.
+        if (preempt_at_steps && !hp_queue_.Empty() && !StarvationExceeded()) {
+          uintr::SwapToPreempt();
+        }
         // Between steps another slot's transaction owns the thread's active
         // timeline, so install/restore brackets every step.
         obs::TxnTimeline* prev_tl = EnterTimeline(s.req);
@@ -333,9 +345,16 @@ void Worker::InterleaveLoop() {
     }
     idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
     if (idle_polls > 100) {
-      // Deep idle: sleep instead of spinning so active threads (and signal
-      // deliveries) get the core promptly on small machines.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      // Deep idle: park instead of spinning so active threads (and signal
+      // deliveries) get the core on small machines. The scheduler wakes us
+      // right after pushing into either queue, and RequestStop() wakes us
+      // too; the sequence is read before the re-scan so a push that races
+      // the park is never missed.
+      const uint32_t seen = wake_.Seq();
+      if (lp_queue_.Empty() && hp_queue_.Empty() &&
+          !stop_.load(std::memory_order_acquire)) {
+        wake_.Park(seen);
+      }
     } else {
       sched_yield();
     }

@@ -13,6 +13,7 @@
 #include "sched/config.h"
 #include "sched/request.h"
 #include "sched/tunable.h"
+#include "sync/doorbell.h"
 #include "sync/spsc_queue.h"
 #include "uintr/uintr.h"
 #include "util/macros.h"
@@ -32,14 +33,19 @@ class Worker {
   PDB_DISALLOW_COPY_AND_ASSIGN(Worker);
 
   void Start();
-  void RequestStop() { stop_.store(true, std::memory_order_release); }
+  void RequestStop() {
+    stop_.store(true, std::memory_order_release);
+    Wake();
+  }
   void Join();
 
   int id() const { return id_; }
 
-  // Producer side is the scheduling thread only (SPSC).
+  // Producer side is the scheduling thread only (SPSC). The producer calls
+  // Wake() after pushing: an idle worker parks until then.
   SpscQueue<Request>& lp_queue() { return lp_queue_; }
   SpscQueue<Request>& hp_queue() { return hp_queue_; }
+  void Wake() { wake_.Ring(); }
 
   // Receiver handle for SendUipi; null until the worker thread registered.
   uintr::Receiver* receiver() const {
@@ -92,8 +98,10 @@ class Worker {
   // transactions over a fixed slot array, so a stalled slot's sibling runs
   // while the stalled one's prefetched line arrives. Brackets each LP step
   // with Stui/Clui, anchors the t0/th starvation window to one active slot,
-  // and applies the per-policy HP queue preference at round boundaries. At
-  // depth 1 with a one-step executor it is the plain pop-run-repeat loop.
+  // applies the per-policy HP queue preference at round boundaries and,
+  // under PreemptDB, delivers a pending (dropped) interrupt before each LP
+  // step. Parks on a futex when idle. At depth 1 with a one-step executor
+  // it is the plain pop-run-repeat loop.
   void InterleaveLoop();
   void PreemptLoop();  // context-2 body; never returns
   void YieldHook();    // cooperative yield point
@@ -118,6 +126,9 @@ class Worker {
 
   SpscQueue<Request> lp_queue_;
   SpscQueue<Request> hp_queue_;
+  // Deep-idle parking word, rung by Wake(). No timeout: a lost wakeup must
+  // hang, not hide behind a polling interval.
+  Doorbell wake_;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

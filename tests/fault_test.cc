@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -375,11 +376,32 @@ TEST_F(FaultTest, SubmitReportsQueueFull) {
   DB::Options o;
   o.scheduler.policy = sched::Policy::kPreempt;
   o.scheduler.num_workers = 1;
-  // A slow tick plus a tiny queue makes rejection deterministic: nothing
-  // drains between the burst's submissions.
   o.scheduler.arrival_interval_us = 200000;
   o.submit_queue_capacity = 4;
   auto db = DB::Open(o);
+  // A held worker plus a tiny queue makes rejection deterministic: the
+  // worker runs a closure blocked on `release` and a second one fills its
+  // one-slot LP queue, so nothing drains between the burst's submissions.
+  std::atomic<bool> release{false};
+  auto running = std::make_shared<std::atomic<bool>>(false);
+  ASSERT_EQ(db->Submit(sched::Priority::kLow,
+                       [running, &release](engine::Engine&) {
+                         running->store(true);
+                         while (!release.load()) {
+                           std::this_thread::sleep_for(1ms);
+                         }
+                         return Rc::kOk;
+                       }),
+            SubmitResult::kAccepted);
+  const bool wedged =
+      WaitUntil([&] { return running->load(); }, 5000) &&
+      db->Submit(sched::Priority::kLow, [](engine::Engine&) {
+        return Rc::kOk;
+      }) == SubmitResult::kAccepted &&
+      WaitUntil([&] { return db->scheduler().worker(0).LpDepth() == 1; },
+                5000);
+  if (!wedged) release.store(true);
+  ASSERT_TRUE(wedged);
   int accepted = 0, rejected = 0;
   for (int i = 0; i < 64; ++i) {
     SubmitResult r = db->Submit(sched::Priority::kLow,
@@ -391,6 +413,7 @@ TEST_F(FaultTest, SubmitReportsQueueFull) {
   EXPECT_GT(rejected, 0);
   EXPECT_EQ(accepted + rejected, 64);
   EXPECT_STREQ(SubmitResultString(SubmitResult::kQueueFull), "queue_full");
+  release.store(true);
   db->Drain();  // accepted submissions all complete; rejects don't wedge it
 }
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -273,8 +274,34 @@ TEST_F(NetTest, OversizedPayloadRejectedPerServerLimit) {
 
 // --- Backpressure contract on the wire ---
 
+// Fills the only worker's pipeline ahead of a wire burst: the worker runs a
+// closure blocked on `release`, and a second closure occupies its one-slot
+// LP queue, so nothing leaves the submission queue until `release` is set.
+// Dispatch is event-driven, so only a held worker makes the pipeline full by
+// construction. On failure it sets `release` itself and returns false.
+bool WedgeOnlyWorker(DB& db, std::atomic<bool>& release) {
+  auto running = std::make_shared<std::atomic<bool>>(false);
+  bool ok = db.Submit(sched::Priority::kLow,
+                      [running, &release](engine::Engine&) {
+                        running->store(true);
+                        while (!release.load()) {
+                          std::this_thread::sleep_for(1ms);
+                        }
+                        return Rc::kOk;
+                      }) == SubmitResult::kAccepted &&
+            WaitUntil([&] { return running->load(); }, 5000) &&
+            db.Submit(sched::Priority::kLow, [](engine::Engine&) {
+              return Rc::kOk;
+            }) == SubmitResult::kAccepted &&
+            WaitUntil(
+                [&] { return db.scheduler().worker(0).LpDepth() == 1; },
+                5000);
+  if (!ok) release.store(true);
+  return ok;
+}
+
 TEST_F(NetTest, QueueFullSurfacesAsBusyNeverSilentlyDropped) {
-  // Tiny submission queue + glacial scheduler tick: a pipelined burst must
+  // Tiny submission queue in front of a held worker: a pipelined burst must
   // split into kAccepted (eventually kOk) and kQueueFull (immediately BUSY),
   // with every single request answered.
   DB::Options dbo;
@@ -283,6 +310,8 @@ TEST_F(NetTest, QueueFullSurfacesAsBusyNeverSilentlyDropped) {
   dbo.scheduler.arrival_interval_us = 200000;
   dbo.submit_queue_capacity = 4;
   Start(dbo);
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(WedgeOnlyWorker(*db_, release));
 
   net::Client c = Connect();
   std::string err;
@@ -294,6 +323,12 @@ TEST_F(NetTest, QueueFullSurfacesAsBusyNeverSilentlyDropped) {
     h.params[0] = 1;
     ASSERT_TRUE(c.Send(h, {}, &err)) << err;
   }
+  // Let the server admit or reject the whole burst before the pipeline
+  // drains, then release the worker so the admitted part completes.
+  const bool all_stamped = WaitUntil(
+      [&] { return server_->admitted() + server_->busy() == kBurst; }, 5000);
+  release.store(true);
+  ASSERT_TRUE(all_stamped);
   int ok = 0, busy = 0, other = 0;
   for (int i = 0; i < kBurst; ++i) {
     net::Client::Result res;
@@ -1464,7 +1499,7 @@ TEST_F(NetTest, V1FrameWithFlagBitsRejected) {
 }
 
 TEST_F(NetTest, QueueDepthHintRidesV2ResponsesOnly) {
-  // Wedged pipeline (tiny submit queue, glacial tick): the burst's BUSY
+  // Wedged pipeline (tiny submit queue, held worker): the burst's BUSY
   // rejections are stamped while 4 submissions sit admitted-and-incomplete,
   // so their queue-depth hint is deterministic.
   DB::Options dbo;
@@ -1473,6 +1508,8 @@ TEST_F(NetTest, QueueDepthHintRidesV2ResponsesOnly) {
   dbo.scheduler.arrival_interval_us = 200000;
   dbo.submit_queue_capacity = 4;
   Start(dbo);
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(WedgeOnlyWorker(*db_, release));
 
   net::Client c = Connect();
   std::string err;
@@ -1484,6 +1521,10 @@ TEST_F(NetTest, QueueDepthHintRidesV2ResponsesOnly) {
     h.params[0] = 1;
     ASSERT_TRUE(c.Send(h, {}, &err)) << err;
   }
+  const bool all_stamped = WaitUntil(
+      [&] { return server_->admitted() + server_->busy() == kBurst; }, 5000);
+  release.store(true);
+  ASSERT_TRUE(all_stamped);
   uint32_t max_hint = 0;
   int busy = 0;
   for (int i = 0; i < kBurst; ++i) {
