@@ -740,31 +740,22 @@ int main(int argc, char** argv) {
                     lp_stats.aborted.load() + lp_stats.busy.load() +
                         lp_stats.timeout.load(),
                     0, lp_stats.ok.load() / cfg.seconds, lp_stats.latency);
-    if (server != nullptr) {
-      snap.AddCounter("server.admitted", server->admitted());
-      snap.AddCounter("server.busy", server->busy());
-      snap.AddCounter("server.replies", server->replies());
-      snap.AddCounter("server.responses_dropped", server->responses_dropped());
-      snap.AddCounter("server.eventfd_wakes", server->eventfd_wakes());
-      snap.AddCounter("server.completions", server->completions());
-      snap.AddCounter("server.accept_handoffs", server->accept_handoffs());
-    }
   }
 
   if (server != nullptr) {
     // Per-shard balance report: with REUSEPORT expect conns and replies to
     // spread across shards; replies/wakes > 1 shows wake coalescing working.
     for (uint32_t i = 0; i < server->num_shards(); ++i) {
-      net::ListenerStats ss = server->shard_stats(i);
+      const net::ShardStats& ss = server->shard_stats(i);
       std::fprintf(stderr,
                    "# shard%u: conns=%lu admitted=%lu replies=%lu "
                    "wakes=%lu batches=%lu handoffs=%lu\n",
-                   i, static_cast<unsigned long>(ss.conns_accepted),
-                   static_cast<unsigned long>(ss.admitted),
-                   static_cast<unsigned long>(ss.replies),
-                   static_cast<unsigned long>(ss.eventfd_wakes),
-                   static_cast<unsigned long>(ss.completion_batches),
-                   static_cast<unsigned long>(ss.accept_handoffs));
+                   i, static_cast<unsigned long>(ss.conns_accepted.Value()),
+                   static_cast<unsigned long>(ss.admitted.Value()),
+                   static_cast<unsigned long>(ss.replies.Value()),
+                   static_cast<unsigned long>(ss.eventfd_wakes.Value()),
+                   static_cast<unsigned long>(ss.completion_batches.Value()),
+                   static_cast<unsigned long>(ss.accept_handoffs.Value()));
     }
   }
 

@@ -224,10 +224,9 @@ int main(int argc, char** argv) {
   // before the DB (drained inside Stop()) goes away.
   if (replicator != nullptr) replicator->Stop();
   server.Stop();
-  net::ListenerStats s = server.stats();
   std::printf("pdb_server done: requests=%lu admitted=%lu replies=%lu\n",
-              static_cast<unsigned long>(s.requests),
-              static_cast<unsigned long>(s.admitted),
-              static_cast<unsigned long>(s.replies));
+              static_cast<unsigned long>(server.requests()),
+              static_cast<unsigned long>(server.admitted()),
+              static_cast<unsigned long>(server.replies()));
   return 0;
 }

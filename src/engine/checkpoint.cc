@@ -376,7 +376,9 @@ bool InstallCheckpointImage(const std::string& dir, const std::string& image,
 Checkpointer::Checkpointer(Engine* engine, std::string dir)
     : engine_(engine),
       dir_(std::move(dir)),
-      active_slot_(std::make_shared<std::atomic<uint64_t>>(0)) {
+      active_slot_(std::make_shared<std::atomic<uint64_t>>(0)),
+      completed_(g_ckpt_completed),
+      failures_(g_ckpt_failures) {
   engine_->RegisterActiveSlot(active_slot_);
 }
 
@@ -537,8 +539,7 @@ bool Checkpointer::WriteCheckpoint() {
   uint64_t redo_off = 0;
   if (!WriteCheckpointFile(tmp, seq, &ts, &rows, &redo_off)) {
     ::unlink(tmp.c_str());
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    g_ckpt_failures.Add();
+    failures_.Add();
     return false;
   }
   // The checkpoint body is durable in the tmp file — the crash window where
@@ -549,16 +550,14 @@ bool Checkpointer::WriteCheckpoint() {
   if (::rename(tmp.c_str(), (dir_ + "/" + final_name).c_str()) != 0 ||
       !FsyncDir(dir_)) {
     ::unlink(tmp.c_str());
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    g_ckpt_failures.Add();
+    failures_.Add();
     return false;
   }
   if (!WriteFileDurably(dir_, kManifestName,
                         BuildManifest(seq, ts, redo_off, final_name))) {
     // The new checkpoint file exists but is unreferenced; the old manifest
     // (and checkpoint) remain authoritative. Harmless orphan.
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    g_ckpt_failures.Add();
+    failures_.Add();
     return false;
   }
   uint64_t prev = last_seq();
@@ -566,8 +565,7 @@ bool Checkpointer::WriteCheckpoint() {
   last_seq_.store(seq, std::memory_order_release);
   last_ts_.store(ts, std::memory_order_release);
   last_done_ns_.store(SteadyNowNs(), std::memory_order_release);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  g_ckpt_completed.Add();
+  completed_.Add();
   g_ckpt_rows.Add(rows);
   obs::Trace(obs::EventType::kCkptEnd, 0, rows);
   return true;

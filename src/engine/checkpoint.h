@@ -41,6 +41,7 @@
 #include <thread>
 
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "util/macros.h"
 
 namespace preemptdb::engine {
@@ -111,12 +112,8 @@ class Checkpointer {
     return last_seq_.load(std::memory_order_acquire);
   }
   uint64_t last_ts() const { return last_ts_.load(std::memory_order_acquire); }
-  uint64_t failures() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
-  uint64_t completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
+  uint64_t failures() const { return failures_.Value(); }
+  uint64_t completed() const { return completed_.Value(); }
   // Milliseconds since the last completed checkpoint; UINT64_MAX when none
   // has completed in this process (a recovered seq counts as none: its age
   // is unknown).
@@ -144,8 +141,8 @@ class Checkpointer {
   std::atomic<uint64_t> last_seq_{0};
   std::atomic<uint64_t> last_ts_{0};
   std::atomic<uint64_t> last_done_ns_{0};  // steady clock; 0 = none yet
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failures_{0};
+  obs::LocalCounter completed_;  // ckpt.completed
+  obs::LocalCounter failures_;   // ckpt.failures
 };
 
 }  // namespace preemptdb::engine

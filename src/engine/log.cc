@@ -71,6 +71,12 @@ Rc LogBuffer::Seal(LogManager* lm, bool txn_end) {
   return rc;
 }
 
+LogManager::LogManager()
+    : io_errors_(g_log_io_errors),
+      torn_bytes_(g_log_torn_bytes),
+      segments_(g_log_segments),
+      fsyncs_(g_log_fsyncs) {}
+
 LogManager::~LogManager() { CloseFile(); }
 
 bool LogManager::OpenFile(const std::string& path, std::string* err,
@@ -118,8 +124,7 @@ Rc LogManager::Sink(const char* data, size_t bytes, uint64_t records,
       // repair truncate failed too; appending valid frames after garbage
       // would make them unreachable at replay. Fail fast instead.
       lost_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
-      g_log_io_errors.Add();
+      io_errors_.Add();
       return Rc::kIoError;
     }
 
@@ -188,13 +193,11 @@ Rc LogManager::Sink(const char* data, size_t bytes, uint64_t records,
     }
     if (PDB_UNLIKELY(persistent_errno != 0)) {
       last_errno_.store(persistent_errno, std::memory_order_relaxed);
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
+      io_errors_.Add();
       // The frame is all-or-nothing: any failure loses the whole payload.
       lost_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      g_log_io_errors.Add();
       if (off > 0) {
-        torn_bytes_.fetch_add(off, std::memory_order_relaxed);
-        g_log_torn_bytes.Add(off);
+        torn_bytes_.Add(off);
         // Repair: cut the partial frame back off so the tail stays
         // parseable for later appends. If even that fails, poison the log.
         if (::ftruncate(fd_, static_cast<off_t>(appended_bytes_)) != 0) {
@@ -206,8 +209,7 @@ Rc LogManager::Sink(const char* data, size_t bytes, uint64_t records,
     appended_bytes_ += frame;
     my_ticket = ++append_ticket_;
     if (commit_seq > last_appended_seq_) last_appended_seq_ = commit_seq;
-    segments_.fetch_add(1, std::memory_order_relaxed);
-    g_log_segments.Add();
+    segments_.Add();
   }
   total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   total_records_.fetch_add(records, std::memory_order_relaxed);
@@ -244,13 +246,11 @@ Rc LogManager::EnsureDurable(uint64_t ticket) {
     // may not survive a crash) and acked-implies-durable can no longer be
     // promised, so poison the log rather than limp along.
     last_errno_.store(errno, std::memory_order_relaxed);
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
-    g_log_io_errors.Add();
+    io_errors_.Add();
     poisoned_.store(true, std::memory_order_relaxed);
     return Rc::kIoError;
   }
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  g_log_fsyncs.Add();
+  fsyncs_.Add();
   synced_ticket_.store(target_ticket, std::memory_order_release);
   uint64_t prev_bytes = durable_bytes_.load(std::memory_order_relaxed);
   if (target_bytes > prev_bytes) {
@@ -271,8 +271,7 @@ Rc LogManager::AppendRaw(const char* data, size_t bytes, uint64_t frames,
     std::lock_guard<std::mutex> g(append_mutex_);
     if (PDB_UNLIKELY(poisoned_.load(std::memory_order_relaxed))) {
       lost_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
-      g_log_io_errors.Add();
+      io_errors_.Add();
       return Rc::kIoError;
     }
 
@@ -325,12 +324,10 @@ Rc LogManager::AppendRaw(const char* data, size_t bytes, uint64_t frames,
     }
     if (PDB_UNLIKELY(persistent_errno != 0)) {
       last_errno_.store(persistent_errno, std::memory_order_relaxed);
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
+      io_errors_.Add();
       lost_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      g_log_io_errors.Add();
       if (off > 0) {
-        torn_bytes_.fetch_add(off, std::memory_order_relaxed);
-        g_log_torn_bytes.Add(off);
+        torn_bytes_.Add(off);
         if (::ftruncate(fd_, static_cast<off_t>(appended_bytes_)) != 0) {
           poisoned_.store(true, std::memory_order_relaxed);
         }
@@ -340,8 +337,7 @@ Rc LogManager::AppendRaw(const char* data, size_t bytes, uint64_t frames,
     appended_bytes_ += bytes;
     my_ticket = ++append_ticket_;
     if (max_seq > last_appended_seq_) last_appended_seq_ = max_seq;
-    segments_.fetch_add(frames, std::memory_order_relaxed);
-    g_log_segments.Add(frames);
+    segments_.Add(frames);
   }
   total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   flushes_.fetch_add(1, std::memory_order_relaxed);

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "engine/version.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/macros.h"
 #include "util/status.h"
@@ -153,7 +154,7 @@ class LogManager {
     kGroupCommit,  // fdatasync before Sink returns, shared across sealers
   };
 
-  LogManager() = default;
+  LogManager();
   ~LogManager();
   PDB_DISALLOW_COPY_AND_ASSIGN(LogManager);
 
@@ -195,18 +196,14 @@ class LogManager {
     return total_records_.load(std::memory_order_relaxed);
   }
   uint64_t flushes() const { return flushes_.load(std::memory_order_relaxed); }
-  uint64_t io_errors() const {
-    return io_errors_.load(std::memory_order_relaxed);
-  }
+  uint64_t io_errors() const { return io_errors_.Value(); }
   uint64_t lost_bytes() const {
     return lost_bytes_.load(std::memory_order_relaxed);
   }
   // Bytes of partial frames a persistent mid-frame failure left on disk
   // (before repair). Distinct from lost_bytes, which counts payload that
   // never landed: torn bytes *are* on disk, as garbage recovery truncates.
-  uint64_t torn_bytes() const {
-    return torn_bytes_.load(std::memory_order_relaxed);
-  }
+  uint64_t torn_bytes() const { return torn_bytes_.Value(); }
   int last_errno() const { return last_errno_.load(std::memory_order_relaxed); }
 
   // File-backed framing state. appended_bytes counts fully-framed bytes
@@ -216,9 +213,7 @@ class LogManager {
     std::lock_guard<std::mutex> g(append_mutex_);
     return appended_bytes_;
   }
-  uint64_t segments() const {
-    return segments_.load(std::memory_order_relaxed);
-  }
+  uint64_t segments() const { return segments_.Value(); }
   uint64_t durable_seq() const {
     return durable_seq_.load(std::memory_order_relaxed);
   }
@@ -244,7 +239,7 @@ class LogManager {
     uint64_t prev = durable_seq_.load(std::memory_order_relaxed);
     if (seq > prev) durable_seq_.store(seq, std::memory_order_release);
   }
-  uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
+  uint64_t fsyncs() const { return fsyncs_.Value(); }
   bool poisoned() const {
     return poisoned_.load(std::memory_order_relaxed);
   }
@@ -256,11 +251,11 @@ class LogManager {
   std::atomic<uint64_t> total_bytes_{0};
   std::atomic<uint64_t> total_records_{0};
   std::atomic<uint64_t> flushes_{0};
-  std::atomic<uint64_t> io_errors_{0};
+  obs::LocalCounter io_errors_;  // log.io_errors
   std::atomic<uint64_t> lost_bytes_{0};
-  std::atomic<uint64_t> torn_bytes_{0};
-  std::atomic<uint64_t> segments_{0};
-  std::atomic<uint64_t> fsyncs_{0};
+  obs::LocalCounter torn_bytes_;  // log.torn_bytes
+  obs::LocalCounter segments_;    // log.segments
+  obs::LocalCounter fsyncs_;      // log.fsyncs
   std::atomic<int> last_errno_{0};
   std::atomic<bool> poisoned_{false};
 

@@ -134,7 +134,7 @@ bool Client::Recv(Result* out, std::string* err) {
   out->rc = static_cast<Rc>(rh.rc);
   out->server_ns = rh.server_ns;
   out->version = rh.version;
-  out->queue_hint = rh.reserved & 0xff;  // v1 responses carry 0
+  out->queue_hint = rh.reserved & 0xff;
   out->has_timeline = false;
   out->payload.resize(rh.payload_len);
   if (rh.payload_len > 0 &&
@@ -142,7 +142,7 @@ bool Client::Recv(Result* out, std::string* err) {
     return false;
   }
   if ((rh.flags & kRespFlagTimeline) != 0) {
-    // v2 timeline echo: strip the trailing 72 bytes out of the payload so
+    // Timeline echo: strip the trailing 72 bytes out of the payload so
     // opcode-level consumers (Get values, ScanSum sums) see the same bytes
     // with or without the flag.
     if (!DecodeTimelineWire(out->payload, &out->timeline)) {

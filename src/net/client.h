@@ -36,7 +36,7 @@ class Client {
     Rc rc = Rc::kError;
     uint64_t server_ns = 0;
     uint8_t version = 0;  // protocol version the server answered with
-    // Flow-control hint (v2 responses): the serving shard's in-flight
+    // Flow-control hint: the serving shard's in-flight
     // submission depth at reply time, saturated at 255. Pipelined senders
     // back off when it climbs instead of discovering BUSY the hard way.
     uint32_t queue_hint = 0;
@@ -89,7 +89,7 @@ class Client {
   // preemption is NOT send order — match via Result::request_id).
   bool Recv(Result* out, std::string* err);
 
-  // --- Batched mode (protocol v2) ---
+  // --- Batched mode ---
 
   // One inner request of a batch envelope. `hdr.request_id` is overwritten
   // with the assigned id on send, so the caller can match the responses.

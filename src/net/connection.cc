@@ -41,7 +41,6 @@ Connection::IoResult Connection::ReadIntoBuffer() {
   } while (n < 0 && errno == EINTR);
   if (n > 0) {
     rbuf_.resize(old + static_cast<size_t>(n));
-    bytes_in_ += static_cast<uint64_t>(n);
     return IoResult::kOk;
   }
   rbuf_.resize(old);
@@ -94,7 +93,6 @@ Connection::IoResult Connection::Flush() {
       } while (n < 0 && errno == EINTR);
       if (n > 0) {
         woff_ += static_cast<size_t>(n);
-        bytes_out_ += static_cast<uint64_t>(n);
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -125,7 +123,6 @@ Connection::IoResult Connection::Flush() {
       n = ::writev(fd_, iov, static_cast<int>(cnt));
     } while (n < 0 && errno == EINTR);
     if (n > 0) {
-      bytes_out_ += static_cast<uint64_t>(n);
       if (cnt > 1) g_writev_coalesced.Add(cnt - 1);  // syscalls saved
       // Retire fully-written frames; stash a split frame's tail in wbuf_.
       size_t rem = static_cast<size_t>(n);

@@ -98,9 +98,6 @@ class Connection {
   // dirty list this tick, so a burst of completions queues one flush.
   bool flush_pending = false;
 
-  uint64_t bytes_in() const { return bytes_in_; }
-  uint64_t bytes_out() const { return bytes_out_; }
-
  private:
   const int fd_;
   const uint64_t id_;
@@ -117,8 +114,6 @@ class Connection {
   std::vector<std::string> outbox_;  // completed responses awaiting flush
 
   std::atomic<bool> closed_{false};
-  uint64_t bytes_in_ = 0;
-  uint64_t bytes_out_ = 0;
 };
 
 }  // namespace preemptdb::net

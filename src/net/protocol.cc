@@ -63,7 +63,7 @@ void EncodeRequest(const RequestHeader& h, std::string_view payload,
                    std::string* out) {
   RequestHeader copy = h;
   copy.magic = kRequestMagic;
-  if (!VersionSupported(copy.version)) copy.version = kProtocolVersion;
+  copy.version = kProtocolVersion;
   copy.payload_len = static_cast<uint32_t>(payload.size());
   out->reserve(out->size() + kRequestHeaderSize + payload.size());
   out->append(reinterpret_cast<const char*>(&copy), kRequestHeaderSize);
@@ -74,7 +74,7 @@ void EncodeResponse(const ResponseHeader& h, std::string_view payload,
                     std::string* out) {
   ResponseHeader copy = h;
   copy.magic = kResponseMagic;
-  if (!VersionSupported(copy.version)) copy.version = kProtocolVersion;
+  copy.version = kProtocolVersion;
   copy.payload_len = static_cast<uint32_t>(payload.size());
   out->reserve(out->size() + kResponseHeaderSize + payload.size());
   out->append(reinterpret_cast<const char*>(&copy), kResponseHeaderSize);
@@ -92,7 +92,7 @@ bool DecodeRequestHeader(const uint8_t* buf, RequestHeader* out) {
 
 bool DecodeResponseHeader(const uint8_t* buf, ResponseHeader* out) {
   std::memcpy(out, buf, kResponseHeaderSize);
-  return out->magic == kResponseMagic && VersionSupported(out->version) &&
+  return out->magic == kResponseMagic && out->version == kProtocolVersion &&
          out->payload_len <= kMaxPayload;
 }
 

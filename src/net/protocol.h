@@ -28,27 +28,16 @@ namespace preemptdb::net {
 
 inline constexpr uint32_t kRequestMagic = 0x51424450;   // "PDBQ"
 inline constexpr uint32_t kResponseMagic = 0x52424450;  // "PDBR"
-// Version negotiation (v2): headers carry the sender's version; the server
-// accepts any version in [kMinProtocolVersion, kProtocolVersion] and echoes
-// the request's (clamped) version in the response so old clients keep
-// working unchanged. Out-of-range versions get a well-formed kBadRequest
-// reply — not a hang, not a dropped connection — because the 48-byte frame
-// layout itself is version-stable.
-//
-// v1 -> v2 additions (all optional; a v1 peer never sees them):
-//   - request flag kReqFlagWantTimeline asks the server to append the
-//     transaction's lifecycle timeline (TimelineWire) to the response
-//     payload, signalled by kRespFlagTimeline.
-//   - admin opcodes kMetrics / kHealth / kTraceSnapshot (introspection
-//     plane; served off the txn hot path, even while draining).
-//   - admin opcodes kGetConfig / kSetConfig (runtime-tunable scheduler
-//     knobs; JSON bodies, validated server-side, versioned).
+// Versioning: headers carry the sender's version and the server speaks only
+// kProtocolVersion. Any other version gets a well-formed kBadRequest reply —
+// not a hang, not a dropped connection — because the 48-byte frame layout
+// itself is version-stable.
 inline constexpr uint8_t kProtocolVersion = 2;
-inline constexpr uint8_t kMinProtocolVersion = 1;
 
-// Request flags (v2+).
+// Request flags. WantTimeline asks the server to append the transaction's
+// lifecycle timeline (TimelineWire) to the response, see kRespFlagTimeline.
 inline constexpr uint8_t kReqFlagWantTimeline = 0x1;
-// Batch frame (v2+): the payload holds params[0] complete inner request
+// Batch frame: the payload holds params[0] complete inner request
 // frames (header + payload each), submitted in order in one read syscall;
 // the responses come back as ordinary frames, one per inner request (the
 // connection coalesces them into one writev). Constraints enforced by the
@@ -56,10 +45,10 @@ inline constexpr uint8_t kReqFlagWantTimeline = 0x1;
 // count must be in [1, kMaxBatchCount], inner frames must not themselves be
 // batches or admin/repl opcodes, and the count must exactly tile the outer
 // payload (a count/length mismatch poisons framing and closes the
-// connection). A v1 frame carrying any flag bit is kBadRequest.
+// connection).
 inline constexpr uint8_t kReqFlagBatch = 0x2;
 inline constexpr uint32_t kMaxBatchCount = 256;
-// Response flags (v2+): the last kTimelineWireSize bytes of the payload are
+// Response flags: the last kTimelineWireSize bytes of the payload are
 // an encoded TimelineWire (included in payload_len, so version-unaware
 // framing still works).
 inline constexpr uint8_t kRespFlagTimeline = 0x1;
@@ -78,7 +67,7 @@ enum class Op : uint8_t {
   kScanSum = 4,  // params[0] = lo, params[1] = hi; payload = {count, bytes}
                  // — the long-running "analytics" op (Q2 analog) used as the
                  // low-priority stream by net_loadgen
-  // --- Admin / introspection plane (v2) ---
+  // --- Admin / introspection plane ---
   kMetrics = 16,        // payload = MetricsSnapshot JSON (counters, gauges,
                         // stage histograms, per-txn-type rows)
   kHealth = 17,         // payload = JSON: per-shard conn/inflight stats,
@@ -96,7 +85,7 @@ enum class Op : uint8_t {
                         // kBadRequest (error text in the response payload)
                         // and leaves the version unchanged. On success the
                         // response payload is the new config JSON.
-  // --- Replication plane (v2, src/repl/) ---
+  // --- Replication plane (src/repl/) ---
   //
   // A follower opens an ordinary connection and sends kReplSubscribe
   // (params[0] = its durable redo-log byte offset, params[1] = its applied
@@ -148,7 +137,7 @@ struct RequestHeader {
   uint8_t version = kProtocolVersion;
   uint8_t opcode = 0;
   uint8_t prio_class = 0;  // WireClass
-  uint8_t flags = 0;       // kReqFlag* (v2+); must be 0 on v1 frames
+  uint8_t flags = 0;       // kReqFlag*
   uint64_t request_id = 0;
   uint32_t timeout_us = 0;  // relative deadline; 0 = none (see SubmitOptions)
   uint32_t payload_len = 0;
@@ -166,14 +155,13 @@ struct ResponseHeader {
   uint8_t version = kProtocolVersion;
   uint8_t status = 0;  // WireStatus
   uint8_t rc = 0;      // underlying Rc detail (valid for kOk..kTimeout)
-  uint8_t flags = 0;   // kRespFlag* (v2+); always 0 on v1 responses
+  uint8_t flags = 0;   // kRespFlag*
   uint64_t request_id = 0;
   uint64_t server_ns = 0;  // accept-to-completion latency measured serverside
   uint32_t payload_len = 0;
-  // v2+: low byte = flow-control hint — the serving shard's in-flight
-  // submission depth at reply time, saturated at 255. Pipelined clients use
-  // it to back off before hitting BUSY; v1 clients (and v1 responses, where
-  // this stays 0) ignore it. Upper three bytes reserved, 0.
+  // Low byte = flow-control hint — the serving shard's in-flight submission
+  // depth at reply time, saturated at 255. Pipelined clients use it to back
+  // off before hitting BUSY. Upper three bytes reserved, 0.
   uint32_t reserved = 0;
 };
 
@@ -190,7 +178,7 @@ static_assert(sizeof(ResponseHeader) == kResponseHeaderSize,
 // any allocation proportional to the claimed length.
 inline constexpr uint32_t kMaxPayload = 1u << 20;
 
-// --- Timeline echo (v2) ---
+// --- Timeline echo ---
 //
 // Fixed-layout wire form of obs::TxnTimeline, appended as the *last*
 // kTimelineWireSize bytes of a response payload when kRespFlagTimeline is
@@ -219,7 +207,7 @@ void AppendTimelineWire(const TimelineWire& t, std::string* out);
 // if the payload is too short.
 bool DecodeTimelineWire(std::string_view payload, TimelineWire* out);
 
-// --- Replication hello (v2) ---
+// --- Replication hello ---
 //
 // Payload of the response to kReplSubscribe: tells the follower whether it
 // can resume from its own offset or must bootstrap from a shipped
@@ -247,14 +235,12 @@ static_assert(sizeof(ReplHelloWire) == kReplHelloWireSize,
 // --- Encode / decode ---
 //
 // Encoders append header + payload to `out` (one buffer per frame keeps the
-// write path a single copy); they preserve the caller's `version` when it is
-// in the supported range (so tests and old clients can emit v1 frames) and
-// stamp kProtocolVersion otherwise. Decoders validate magic and length and
-// return false on a malformed header — the connection is then poisoned and
-// closed, since framing can no longer be trusted. An unsupported *version*
-// is NOT a decode failure on the request path: the layout is version-stable,
-// so the server decodes the frame and answers kBadRequest (see
-// RequestVersionSupported), keeping the connection alive.
+// write path a single copy) and always stamp kProtocolVersion. Decoders
+// validate magic and length and return false on a malformed header — the
+// connection is then poisoned and closed, since framing can no longer be
+// trusted. An unsupported *version* is NOT a decode failure on the request
+// path: the layout is version-stable, so the server decodes the frame and
+// answers kBadRequest, keeping the connection alive.
 
 void EncodeRequest(const RequestHeader& h, std::string_view payload,
                    std::string* out);
@@ -264,10 +250,6 @@ void EncodeResponse(const ResponseHeader& h, std::string_view payload,
 // `buf` must hold at least kRequestHeaderSize / kResponseHeaderSize bytes.
 bool DecodeRequestHeader(const uint8_t* buf, RequestHeader* out);
 bool DecodeResponseHeader(const uint8_t* buf, ResponseHeader* out);
-
-inline bool VersionSupported(uint8_t v) {
-  return v >= kMinProtocolVersion && v <= kProtocolVersion;
-}
 
 }  // namespace preemptdb::net
 

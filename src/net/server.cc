@@ -28,26 +28,6 @@ void AppendU64(std::string* out, uint64_t v) {
 
 }  // namespace
 
-ListenerStats& ListenerStats::operator+=(const ListenerStats& o) {
-  conns_accepted += o.conns_accepted;
-  conns_closed += o.conns_closed;
-  requests += o.requests;
-  admitted += o.admitted;
-  busy += o.busy;
-  bad_requests += o.bad_requests;
-  replies += o.replies;
-  responses_dropped += o.responses_dropped;
-  timeouts += o.timeouts;
-  conn_resets += o.conn_resets;
-  eventfd_wakes += o.eventfd_wakes;
-  completions_pushed += o.completions_pushed;
-  completions += o.completions;
-  completion_batches += o.completion_batches;
-  accept_handoffs += o.accept_handoffs;
-  open_conns += o.open_conns;
-  return *this;
-}
-
 Server::Server(DB* db, Options options) : db_(db), opts_(std::move(options)) {
   if (opts_.max_payload > kMaxPayload) opts_.max_payload = kMaxPayload;
   if (opts_.num_shards < 1) opts_.num_shards = 1;
@@ -169,10 +149,8 @@ bool Server::Start(std::string* err) {
   for (uint32_t i = 0; i < n; ++i) {
     const ShardStats* s = &shards_[i]->stats();
     const std::string p = "net.shard" + std::to_string(i) + ".";
-    auto gauge = [](const std::atomic<uint64_t>* c) {
-      return [c] {
-        return static_cast<double>(c->load(std::memory_order_relaxed));
-      };
+    auto gauge = [](const auto* c) {
+      return [c] { return static_cast<double>(ShardStats::Read(*c)); };
     };
     shard_gauges_.Add(p + "conns", gauge(&s->open_conns));
     shard_gauges_.Add(p + "admitted", gauge(&s->admitted));
@@ -249,7 +227,7 @@ void Server::Stop() {
   for (auto& s : shards_) s->JoinThread();
   // Loops are gone: drop the gauges (they read shard memory), then tear the
   // shards down from this thread. The NetShard objects stay alive so
-  // post-Stop stats() reads keep working.
+  // post-Stop counter reads keep working.
   shard_gauges_.Clear();
   for (auto& s : shards_) s->TearDown();
   // Shards are joined: no new followers can arrive, so the shipper's
@@ -294,19 +272,19 @@ std::string Server::BuildHealthJson() const {
 
   w.Key("shards").BeginArray();
   for (uint32_t i = 0; i < shards_.size(); ++i) {
-    ListenerStats s = shard_stats(i);
+    const ShardStats& s = shard_stats(i);
     w.BeginObject();
     w.Key("id").Uint(i);
-    w.Key("open_conns").Uint(s.open_conns);
-    w.Key("requests").Uint(s.requests);
-    w.Key("admitted").Uint(s.admitted);
-    w.Key("busy").Uint(s.busy);
-    w.Key("bad_requests").Uint(s.bad_requests);
-    w.Key("replies").Uint(s.replies);
-    w.Key("responses_dropped").Uint(s.responses_dropped);
-    w.Key("timeouts").Uint(s.timeouts);
-    w.Key("completions_pushed").Uint(s.completions_pushed);
-    w.Key("completions").Uint(s.completions);
+    w.Key("open_conns").Uint(s.open_conns.load());
+    w.Key("requests").Uint(s.requests.Value());
+    w.Key("admitted").Uint(s.admitted.Value());
+    w.Key("busy").Uint(s.busy.Value());
+    w.Key("bad_requests").Uint(s.bad_requests.Value());
+    w.Key("replies").Uint(s.replies.Value());
+    w.Key("responses_dropped").Uint(s.responses_dropped.Value());
+    w.Key("timeouts").Uint(s.timeouts.Value());
+    w.Key("completions_pushed").Uint(s.completions_pushed.load());
+    w.Key("completions").Uint(s.completions.load());
     w.EndObject();
   }
   w.EndArray();
@@ -480,36 +458,9 @@ std::string Server::BuildTraceJson(size_t max_bytes) const {
   return json;
 }
 
-ListenerStats Server::shard_stats(uint32_t i) const {
-  ListenerStats out;
-  if (i >= shards_.size()) return out;
-  const ShardStats& s = shards_[i]->stats();
-  auto ld = [](const std::atomic<uint64_t>& c) {
-    return c.load(std::memory_order_acquire);
-  };
-  out.conns_accepted = ld(s.conns_accepted);
-  out.conns_closed = ld(s.conns_closed);
-  out.requests = ld(s.requests);
-  out.admitted = ld(s.admitted);
-  out.busy = ld(s.busy);
-  out.bad_requests = ld(s.bad_requests);
-  out.replies = ld(s.replies);
-  out.responses_dropped = ld(s.responses_dropped);
-  out.timeouts = ld(s.timeouts);
-  out.conn_resets = ld(s.conn_resets);
-  out.eventfd_wakes = ld(s.eventfd_wakes);
-  out.completions_pushed = ld(s.completions_pushed);
-  out.completions = ld(s.completions);
-  out.completion_batches = ld(s.completion_batches);
-  out.accept_handoffs = ld(s.accept_handoffs);
-  out.open_conns = ld(s.open_conns);
-  return out;
-}
-
-ListenerStats Server::stats() const {
-  ListenerStats out;
-  for (uint32_t i = 0; i < shards_.size(); ++i) out += shard_stats(i);
-  return out;
+const ShardStats& Server::shard_stats(uint32_t i) const {
+  PDB_CHECK(i < shards_.size());
+  return shards_[i]->stats();
 }
 
 Rc Server::Dispatch(engine::Engine& eng, const RequestHeader& req,

@@ -55,31 +55,37 @@ namespace preemptdb::net {
 
 class NetShard;
 
-// Point-in-time statistics for one shard or (summed) for the whole
-// listener. Aggregation keeps pre-sharding dashboards and tests working:
-// Server's scalar accessors read the aggregate, `net.shard<i>.*` gauges
-// expose the per-shard view.
-struct ListenerStats {
-  uint64_t conns_accepted = 0;
-  uint64_t conns_closed = 0;
-  uint64_t requests = 0;
-  uint64_t admitted = 0;
-  uint64_t busy = 0;
-  uint64_t bad_requests = 0;
-  uint64_t replies = 0;
-  uint64_t responses_dropped = 0;
-  uint64_t timeouts = 0;
-  uint64_t conn_resets = 0;
-  // Wake-coalescing accounting: eventfd writes vs completion frames. Under
-  // pipelined load eventfd_wakes < replies, i.e. >1 completion per wake.
-  uint64_t eventfd_wakes = 0;
-  uint64_t completions_pushed = 0;  // completion callbacks fired
-  uint64_t completions = 0;         // completions handled (queued or dropped)
-  uint64_t completion_batches = 0;  // loop ticks that drained >=1 completion
-  uint64_t accept_handoffs = 0;     // fds routed cross-shard (fallback mode)
-  uint64_t open_conns = 0;          // currently registered connections
+// Per-shard statistics, written by the shard thread (and, for
+// responses_dropped and eventfd_wakes, by completion producers) and read
+// from any thread. Each LocalCounter rolls up into the process-wide net.*
+// counter named beside it, so an event is counted once for both views.
+struct ShardStats {
+  ShardStats();
 
-  ListenerStats& operator+=(const ListenerStats& o);
+  obs::LocalCounter conns_accepted;      // net.conns_accepted
+  obs::LocalCounter conns_closed;        // net.conns_closed
+  obs::LocalCounter requests;            // net.requests
+  obs::LocalCounter admitted;            // net.accepted
+  obs::LocalCounter busy;                // net.busy
+  obs::LocalCounter bad_requests;        // net.rejected
+  obs::LocalCounter replies;             // net.responses_sent
+  obs::LocalCounter responses_dropped;   // net.responses_dropped
+  obs::LocalCounter timeouts;            // net.timeouts
+  obs::LocalCounter eventfd_wakes;       // net.eventfd_wakes
+  obs::LocalCounter completion_batches;  // net.completion_batches
+  obs::LocalCounter accept_handoffs;     // net.accept_handoffs
+  // Per-shard only.
+  std::atomic<uint64_t> conn_resets{0};
+  std::atomic<uint64_t> open_conns{0};
+  // Completion callbacks fired / handled (response queued or dropped).
+  // Release increments, acquire loads: Quiesced() orders Stop() after them.
+  std::atomic<uint64_t> completions_pushed{0};
+  std::atomic<uint64_t> completions{0};
+
+  static uint64_t Read(const obs::LocalCounter& c) { return c.Value(); }
+  static uint64_t Read(const std::atomic<uint64_t>& c) {
+    return c.load(std::memory_order_acquire);
+  }
 };
 
 class Server {
@@ -168,24 +174,32 @@ class Server {
   // unavailable or disabled).
   bool handoff_mode() const { return handoff_mode_; }
 
-  // --- Per-instance statistics (tests want deltas per server, not the
-  // process-global obs counters, which also exist: net.*) ---
-  ListenerStats stats() const;                  // aggregate over shards
-  ListenerStats shard_stats(uint32_t i) const;  // one shard's view
-
-  uint64_t conns_accepted() const { return stats().conns_accepted; }
-  uint64_t conns_closed() const { return stats().conns_closed; }
-  uint64_t requests() const { return stats().requests; }
-  uint64_t admitted() const { return stats().admitted; }
-  uint64_t busy() const { return stats().busy; }
-  uint64_t bad_requests() const { return stats().bad_requests; }
-  uint64_t replies() const { return stats().replies; }
-  uint64_t responses_dropped() const { return stats().responses_dropped; }
-  uint64_t timeouts() const { return stats().timeouts; }
-  uint64_t conn_resets_injected() const { return stats().conn_resets; }
-  uint64_t eventfd_wakes() const { return stats().eventfd_wakes; }
-  uint64_t completions() const { return stats().completions; }
-  uint64_t accept_handoffs() const { return stats().accept_handoffs; }
+  // --- Per-instance statistics: one shard's (i < num_shards()), and sums
+  // over this server's shards (net.* sums every server in the process) ---
+  const ShardStats& shard_stats(uint32_t i) const;
+  uint64_t conns_accepted() const { return Sum(&ShardStats::conns_accepted); }
+  uint64_t conns_closed() const { return Sum(&ShardStats::conns_closed); }
+  uint64_t requests() const { return Sum(&ShardStats::requests); }
+  uint64_t admitted() const { return Sum(&ShardStats::admitted); }
+  uint64_t busy() const { return Sum(&ShardStats::busy); }
+  uint64_t bad_requests() const { return Sum(&ShardStats::bad_requests); }
+  uint64_t replies() const { return Sum(&ShardStats::replies); }
+  uint64_t responses_dropped() const {
+    return Sum(&ShardStats::responses_dropped);
+  }
+  uint64_t timeouts() const { return Sum(&ShardStats::timeouts); }
+  uint64_t conn_resets_injected() const {
+    return Sum(&ShardStats::conn_resets);
+  }
+  uint64_t eventfd_wakes() const { return Sum(&ShardStats::eventfd_wakes); }
+  uint64_t completions_pushed() const {
+    return Sum(&ShardStats::completions_pushed);
+  }
+  uint64_t completions() const { return Sum(&ShardStats::completions); }
+  uint64_t completion_batches() const {
+    return Sum(&ShardStats::completion_batches);
+  }
+  uint64_t accept_handoffs() const { return Sum(&ShardStats::accept_handoffs); }
 
   // The SLO watchdog, when Options::slo enabled a class (null otherwise).
   obs::SloWatchdog* slo_watchdog() { return slo_watchdog_.get(); }
@@ -227,6 +241,15 @@ class Server {
   // Shard threads feed each completed request's server-side latency here
   // (no-op without a watchdog).
   void RecordSlo(bool high_priority, uint64_t latency_ns);
+  // Sums one ShardStats field over the shards.
+  template <typename Field>
+  uint64_t Sum(const Field ShardStats::*field) const {
+    uint64_t sum = 0;
+    for (uint32_t i = 0; i < shards_.size(); ++i) {
+      sum += ShardStats::Read(shard_stats(i).*field);
+    }
+    return sum;
+  }
 
   DB* const db_;
   Options opts_;

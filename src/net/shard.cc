@@ -24,17 +24,14 @@ namespace preemptdb::net {
 namespace {
 
 // Process-global wire-level counters, summed across every server and shard
-// in the process (per-server/per-shard deltas live on ShardStats). All
-// increments happen on shard threads except net.responses_dropped and
-// net.eventfd_wakes, which completion producers may bump — Counter::Add is a
-// relaxed atomic, safe from any context the completion path runs in.
+// in the process: the roll-up of a ShardStats LocalCounter (server.h), or
+// direct adds for events with no per-shard field. net.rejected takes both.
 obs::Counter g_conns_accepted("net.conns_accepted");
 obs::Counter g_conns_closed("net.conns_closed");
 obs::Counter g_requests("net.requests");
 obs::Counter g_accepted("net.accepted");
 obs::Counter g_rejected("net.rejected");
 obs::Counter g_busy("net.busy");
-obs::Counter g_replies("net.replies");
 obs::Counter g_responses_dropped("net.responses_dropped");
 obs::Counter g_wire_timeouts("net.timeouts");
 obs::Counter g_class_hp("net.class_hp");
@@ -53,6 +50,20 @@ obs::Counter g_batch_frames("net.batch_frames");
 obs::Counter g_batch_requests("net.batch_requests");
 
 }  // namespace
+
+ShardStats::ShardStats()
+    : conns_accepted(g_conns_accepted),
+      conns_closed(g_conns_closed),
+      requests(g_requests),
+      admitted(g_accepted),
+      busy(g_busy),
+      bad_requests(g_rejected),
+      replies(g_responses_sent),
+      responses_dropped(g_responses_dropped),
+      timeouts(g_wire_timeouts),
+      eventfd_wakes(g_eventfd_wakes),
+      completion_batches(g_completion_batches),
+      accept_handoffs(g_accept_handoffs) {}
 
 CompletionRing::Pop CompletionRing::TryPop(PendingOp** out) {
   PendingOp* tail = tail_;
@@ -157,8 +168,7 @@ size_t NetShard::TearDown() {
     if (r == CompletionRing::Pop::kItem) {
       std::shared_ptr<PendingOp> op = std::move(raw->self);
       stats_.completions.fetch_add(1, std::memory_order_release);
-      stats_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
-      g_responses_dropped.Add();
+      stats_.responses_dropped.Add();
       ++dropped;
       continue;
     }
@@ -170,11 +180,9 @@ size_t NetShard::TearDown() {
     size_t d = conn->MarkClosed();
     if (d > 0) {
       dropped += d;
-      stats_.responses_dropped.fetch_add(d, std::memory_order_relaxed);
-      g_responses_dropped.Add(d);
+      stats_.responses_dropped.Add(d);
     }
-    stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
-    g_conns_closed.Add();
+    stats_.conns_closed.Add();
   }
   conns_.clear();
   stats_.open_conns.store(0, std::memory_order_relaxed);
@@ -194,8 +202,7 @@ void NetShard::Wake() {
   uint64_t one = 1;
   // eventfd writes are async-signal-safe and never block for a counter < max.
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  stats_.eventfd_wakes.fetch_add(1, std::memory_order_relaxed);
-  g_eventfd_wakes.Add();
+  stats_.eventfd_wakes.Add();
 }
 
 void NetShard::MaybeWake() {
@@ -217,8 +224,7 @@ void NetShard::PushCompletion(const std::shared_ptr<PendingOp>& op, Rc rc) {
   if (!ring_open_.load(std::memory_order_acquire)) {
     // Shard already torn down: the submission completed, only the reply
     // bytes are lost (same contract as a dead peer).
-    stats_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
-    g_responses_dropped.Add();
+    stats_.responses_dropped.Add();
     stats_.completions.fetch_add(1, std::memory_order_release);
     return;
   }
@@ -299,8 +305,7 @@ void NetShard::HandleAccept() {
       // by fd hash so load still spreads without SO_REUSEPORT.
       uint32_t target = static_cast<uint32_t>(fd) % nshards;
       if (target != id_) {
-        stats_.accept_handoffs.fetch_add(1, std::memory_order_relaxed);
-        g_accept_handoffs.Add();
+        stats_.accept_handoffs.Add();
         server_->shards_[target]->AdoptSocket(fd);
         continue;
       }
@@ -331,9 +336,8 @@ void NetShard::RegisterConn(int fd) {
     return;
   }
   conns_.emplace(fd, std::move(conn));
-  stats_.conns_accepted.fetch_add(1, std::memory_order_relaxed);
+  stats_.conns_accepted.Add();
   stats_.open_conns.fetch_add(1, std::memory_order_relaxed);
-  g_conns_accepted.Add();
   obs::Trace(obs::EventType::kNetAccept, id_, cid);
 }
 
@@ -362,28 +366,13 @@ bool NetShard::HandleRequest(const std::shared_ptr<Connection>& conn,
                              const RequestHeader& hdr,
                              std::string_view payload) {
   const uint64_t arrival_ns = MonoNanos();
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  g_requests.Add();
+  stats_.requests.Add();
   obs::Trace(obs::EventType::kNetRequest, hdr.opcode, hdr.request_id);
 
-  // Version negotiation: the 48-byte frame layout is version-stable, so an
-  // unsupported version still decoded cleanly — answer it with kBadRequest
-  // (at the server's own version, naming what we do speak) instead of
-  // poisoning the connection, which a naive client would see as a hang.
-  if (!VersionSupported(hdr.version)) {
-    stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    g_rejected.Add();
-    ReplyNow(conn, hdr, WireStatus::kBadRequest, Rc::kError);
-    return true;
-  }
-  // Flag bits carry v2 semantics a v1 peer cannot mean; a v1 frame with any
-  // bit set is a confused client, not an old one.
-  if (hdr.version < 2 && hdr.flags != 0) {
-    stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    g_rejected.Add();
-    ReplyNow(conn, hdr, WireStatus::kBadRequest, Rc::kError);
-    return true;
-  }
+  // Another protocol version still decoded cleanly (the layout is stable):
+  // answer kBadRequest instead of poisoning the connection, which a naive
+  // client would see as a hang.
+  if (hdr.version != kProtocolVersion) return RejectBadRequest(conn, hdr);
   // Batch envelope: expand before the admin check so the envelope's own
   // (ignored) opcode can never hijack the introspection plane.
   if ((hdr.flags & kReqFlagBatch) != 0) {
@@ -408,18 +397,12 @@ bool NetShard::HandleRequest(const std::shared_ptr<Connection>& conn,
   // caller then issues is a no-op because the conn is already unregistered.
   if (static_cast<Op>(hdr.opcode) == Op::kReplSubscribe) {
     repl::Shipper* shipper = server_->shipper_.get();
-    if (shipper == nullptr) {
-      // Not a replication primary (repl disabled or engine not durable).
-      stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-      g_rejected.Add();
-      ReplyNow(conn, hdr, WireStatus::kBadRequest, Rc::kError);
-      return true;
-    }
+    // Not a replication primary (repl disabled or engine not durable).
+    if (shipper == nullptr) return RejectBadRequest(conn, hdr);
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd(), nullptr);
     conns_.erase(conn->fd());
-    stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
+    stats_.conns_closed.Add();
     stats_.open_conns.fetch_sub(1, std::memory_order_relaxed);
-    g_conns_closed.Add();
     int fd = conn->DetachFd();
     if (fd >= 0) {
       // The shipper uses plain blocking I/O on its own thread.
@@ -443,15 +426,11 @@ bool NetShard::HandleRequest(const std::shared_ptr<Connection>& conn,
   bool known_op =
       opts.handler || hdr.opcode <= static_cast<uint8_t>(Op::kScanSum);
   if (!known_op || hdr.prio_class > 1 || hdr.payload_len > opts.max_payload) {
-    stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    g_rejected.Add();
-    ReplyNow(conn, hdr, WireStatus::kBadRequest, Rc::kError);
-    return true;
+    return RejectBadRequest(conn, hdr);
   }
   if (opts.max_inflight > 0 &&
       conn->in_flight.load(std::memory_order_relaxed) >= opts.max_inflight) {
-    stats_.busy.fetch_add(1, std::memory_order_relaxed);
-    g_busy.Add();
+    stats_.busy.Add();
     ReplyNow(conn, hdr, WireStatus::kBusy, Rc::kError);
     return true;
   }
@@ -495,8 +474,7 @@ bool NetShard::HandleRequest(const std::shared_ptr<Connection>& conn,
 
   switch (res) {
     case SubmitResult::kAccepted:
-      stats_.admitted.fetch_add(1, std::memory_order_relaxed);
-      g_accepted.Add();
+      stats_.admitted.Add();
       // Timed request in flight: wake near its deadline so the shed
       // response flushes on time instead of a tick late.
       if (hdr.timeout_us > 0) {
@@ -506,8 +484,7 @@ bool NetShard::HandleRequest(const std::shared_ptr<Connection>& conn,
       return true;
     case SubmitResult::kQueueFull:
       conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
-      stats_.busy.fetch_add(1, std::memory_order_relaxed);
-      g_busy.Add();
+      stats_.busy.Add();
       ReplyNow(conn, hdr, WireStatus::kBusy, Rc::kError);
       return true;
     case SubmitResult::kStopped:
@@ -522,14 +499,16 @@ bool NetShard::HandleRequest(const std::shared_ptr<Connection>& conn,
 bool NetShard::HandleBatchRequest(const std::shared_ptr<Connection>& conn,
                                   const RequestHeader& hdr,
                                   std::string_view payload) {
-  auto reject = [&] {
-    stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    g_rejected.Add();
-    ReplyNow(conn, hdr, WireStatus::kBadRequest, Rc::kError);
-    return true;
+  // A malformed envelope is a bad request either way; poison() also drops
+  // the connection, for when framing can no longer be trusted.
+  auto poison = [&] {
+    stats_.bad_requests.Add();
+    return false;
   };
   const uint64_t count = hdr.params[0];
-  if (count == 0 || count > kMaxBatchCount) return reject();
+  if (count == 0 || count > kMaxBatchCount) {
+    return RejectBadRequest(conn, hdr);
+  }
   // Validation walk first, dispatch second: either the whole envelope is
   // well formed or none of it runs, so a malformed tail can never leave a
   // prefix of the batch already admitted.
@@ -540,36 +519,26 @@ bool NetShard::HandleBatchRequest(const std::shared_ptr<Connection>& conn,
       // Truncated mid-batch: the envelope lied about its contents, so inner
       // framing can no longer be trusted — poison and close (no reply; the
       // peer's framing state is unknown).
-      stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-      g_rejected.Add();
-      return false;
+      return poison();
     }
     RequestHeader ih;
     if (!DecodeRequestHeader(base + off, &ih)) {
-      stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-      g_rejected.Add();
-      return false;  // bad magic / oversized length: framing poisoned
+      return poison();  // bad magic / oversized length: framing poisoned
     }
     if ((ih.flags & kReqFlagBatch) != 0 ||
         ih.opcode >= static_cast<uint8_t>(Op::kMetrics)) {
       // Nested batches and admin/repl opcodes are not batchable; the
       // envelope itself is the bad request.
-      return reject();
+      return RejectBadRequest(conn, hdr);
     }
     size_t frame = kRequestHeaderSize + ih.payload_len;
-    if (payload.size() - off < frame) {
-      stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-      g_rejected.Add();
-      return false;  // inner payload truncated
-    }
+    if (payload.size() - off < frame) return poison();  // payload truncated
     off += frame;
   }
   if (off != payload.size()) {
     // Count does not tile the payload: trailing bytes whose framing intent
     // is unknowable. Poison and close.
-    stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-    g_rejected.Add();
-    return false;
+    return poison();
   }
   g_batch_frames.Add();
   g_batch_requests.Add(count);
@@ -618,9 +587,7 @@ bool NetShard::HandleAdminRequest(const std::shared_ptr<Connection>& conn,
       // the caller sees the new version without a second round trip.
       std::string err;
       if (!server_->ApplyConfigJson(payload, &err)) {
-        stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-        ReplyNow(conn, hdr, WireStatus::kBadRequest, Rc::kError, err);
-        return true;
+        return RejectBadRequest(conn, hdr, err);
       }
       body = server_->BuildConfigJson();
       break;
@@ -645,8 +612,7 @@ void NetShard::ProcessCompletion(PendingOp* raw) {
   stats_.completions.fetch_add(1, std::memory_order_release);
   Rc rc = op->rc;
   if (rc == Rc::kTimeout) {
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    g_wire_timeouts.Add();
+    stats_.timeouts.Add();
   }
   // Reply stamp closes the timeline: server_ns and net.stage.total are the
   // same subtraction, so the stage histograms partition exactly the latency
@@ -654,14 +620,13 @@ void NetShard::ProcessCompletion(PendingOp* raw) {
   op->tl.reply_ns = MonoNanos();
   obs::RecordNetStages(op->tl);
   ResponseHeader rh;
-  rh.version = op->hdr.version;  // encode clamps unsupported values
   rh.status = static_cast<uint8_t>(StatusFromRc(rc));
   rh.rc = static_cast<uint8_t>(rc);
   rh.request_id = op->hdr.request_id;
   rh.server_ns = op->tl.reply_ns - op->accept_ns;
-  // Flow-control hint (v2+): current in-flight depth, so pipelined clients
-  // can back off before hitting BUSY. v1 responses keep the byte 0.
-  if (op->hdr.version >= 2) rh.reserved = EncodeQueueHint(QueueDepthHint());
+  // Flow-control hint: current in-flight depth, so pipelined clients can
+  // back off before hitting BUSY.
+  rh.reserved = EncodeQueueHint(QueueDepthHint());
   server_->RecordSlo(op->hdr.prio_class == 1, rh.server_ns);
   std::string_view body = IsOk(rc) ? op->out : std::string_view();
   std::string with_tl;
@@ -689,13 +654,10 @@ void NetShard::ProcessCompletion(PendingOp* raw) {
   if (!op->conn->EnqueueResponse(std::move(frame))) {
     // Connection died first. The submission itself completed — only the
     // reply bytes are lost, which is all a peer reset can ever lose.
-    stats_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
-    g_responses_dropped.Add();
+    stats_.responses_dropped.Add();
     return;
   }
-  stats_.replies.fetch_add(1, std::memory_order_relaxed);
-  g_replies.Add();
-  g_responses_sent.Add();
+  stats_.replies.Add();
   obs::Trace(obs::EventType::kNetReply, static_cast<uint32_t>(rh.status),
              rh.server_ns);
   MarkDirty(op->conn);
@@ -723,8 +685,7 @@ void NetShard::DrainCompletionsAndFlush() {
     break;
   }
   if (drained > 0) {
-    stats_.completion_batches.fetch_add(1, std::memory_order_relaxed);
-    g_completion_batches.Add();
+    stats_.completion_batches.Add();
   }
   if (dirty_.empty()) return;
   // One flush per connection no matter how many completions it absorbed
@@ -746,33 +707,35 @@ void NetShard::MarkDirty(const std::shared_ptr<Connection>& conn) {
 void NetShard::ReplyNow(const std::shared_ptr<Connection>& conn,
                         const RequestHeader& req, WireStatus status, Rc rc,
                         std::string_view payload) {
+  // Always at the server's own version, which tells a peer speaking another
+  // one what this server does speak.
   ResponseHeader rh;
-  // Echo the peer's version when we speak it; unsupported versions get the
-  // server's own (EncodeResponse clamps), which doubles as "max supported".
-  rh.version = req.version;
   rh.status = static_cast<uint8_t>(status);
   rh.rc = static_cast<uint8_t>(rc);
   rh.request_id = req.request_id;
-  if (VersionSupported(req.version) && req.version >= 2) {
-    rh.reserved = EncodeQueueHint(QueueDepthHint());
-  }
+  rh.reserved = EncodeQueueHint(QueueDepthHint());
   std::string frame;
   EncodeResponse(rh, payload, &frame);
   if (conn->EnqueueResponse(std::move(frame))) {
-    stats_.replies.fetch_add(1, std::memory_order_relaxed);
-    g_replies.Add();
-    g_responses_sent.Add();
+    stats_.replies.Add();
     obs::Trace(obs::EventType::kNetReply, static_cast<uint32_t>(status), 0);
   } else {
-    stats_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
-    g_responses_dropped.Add();
+    stats_.responses_dropped.Add();
   }
+}
+
+bool NetShard::RejectBadRequest(const std::shared_ptr<Connection>& conn,
+                                const RequestHeader& req,
+                                std::string_view why) {
+  stats_.bad_requests.Add();
+  ReplyNow(conn, req, WireStatus::kBadRequest, Rc::kError, why);
+  return true;
 }
 
 uint64_t NetShard::QueueDepthHint() const {
   // admitted and completions are monotonic and admitted leads, but the two
   // relaxed loads can be torn by in-flight completions — clamp at 0.
-  uint64_t a = stats_.admitted.load(std::memory_order_relaxed);
+  uint64_t a = stats_.admitted.Value();
   uint64_t c = stats_.completions.load(std::memory_order_relaxed);
   return a > c ? a - c : 0;
 }
@@ -812,12 +775,10 @@ void NetShard::CloseConn(const std::shared_ptr<Connection>& conn) {
   if (dropped > 0) {
     // Responses that made it into the outbox but never onto the wire: their
     // submissions completed, only the reply bytes died with the socket.
-    stats_.responses_dropped.fetch_add(dropped, std::memory_order_relaxed);
-    g_responses_dropped.Add(dropped);
+    stats_.responses_dropped.Add(dropped);
   }
-  stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
+  stats_.conns_closed.Add();
   stats_.open_conns.fetch_sub(1, std::memory_order_relaxed);
-  g_conns_closed.Add();
 }
 
 }  // namespace preemptdb::net

@@ -11,8 +11,8 @@
 //     accepted fd to `fd % num_shards` via AdoptSocket(),
 //   * every Connection accepted into it (reads, frame parsing, admission,
 //     response writes, close — see connection.h for the ownership contract),
-//   * a ShardStats block surfaced as `net.shard<i>.*` gauges and aggregated
-//     into the server-wide ListenerStats.
+//   * a ShardStats block surfaced as `net.shard<i>.*` gauges, summed by the
+//     Server's aggregate accessors and rolled up into the net.* counters.
 //
 // Completion path ("enqueue + maybe-wake"): DB completion callbacks fire on
 // worker/scheduler threads — possibly inside a fiber that was preempted and
@@ -107,28 +107,6 @@ class CompletionRing {
   PendingOp stub_;
 };
 
-// Per-shard statistics. Plain relaxed atomics: written by the shard thread
-// (and, for responses_dropped, by late completion producers), sampled by
-// gauges and the server-wide aggregate from any thread.
-struct ShardStats {
-  std::atomic<uint64_t> conns_accepted{0};
-  std::atomic<uint64_t> conns_closed{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> busy{0};
-  std::atomic<uint64_t> bad_requests{0};
-  std::atomic<uint64_t> replies{0};
-  std::atomic<uint64_t> responses_dropped{0};
-  std::atomic<uint64_t> timeouts{0};
-  std::atomic<uint64_t> conn_resets{0};
-  std::atomic<uint64_t> eventfd_wakes{0};
-  std::atomic<uint64_t> completions_pushed{0};
-  std::atomic<uint64_t> completions{0};
-  std::atomic<uint64_t> completion_batches{0};
-  std::atomic<uint64_t> accept_handoffs{0};
-  std::atomic<uint64_t> open_conns{0};
-};
-
 // Pure timeout policy, split out for unit testing: pops every deadline that
 // has already passed, then returns the epoll_wait timeout in milliseconds —
 // -1 (block indefinitely) when no deadline is queued, the rounded-up
@@ -213,13 +191,16 @@ class NetShard {
                           const RequestHeader& hdr, std::string_view payload);
   // Shard thread: serialize one completed op and queue its response frame.
   void ProcessCompletion(PendingOp* op);
-  // Immediate reply from the shard thread (rejections + admin payloads);
-  // echoes the request's protocol version when supported.
+  // Immediate reply from the shard thread (rejections + admin payloads).
   void ReplyNow(const std::shared_ptr<Connection>& conn,
                 const RequestHeader& req, WireStatus status, Rc rc,
                 std::string_view payload = {});
+  // Counts a bad request and answers it kBadRequest, `why` as the payload.
+  // Returns true: the connection survives.
+  bool RejectBadRequest(const std::shared_ptr<Connection>& conn,
+                        const RequestHeader& req, std::string_view why = {});
   // In-flight submission depth (admitted minus completed), the flow-control
-  // hint encoded into v2 response headers so pipelined clients back off
+  // hint encoded into response headers so pipelined clients back off
   // before hitting BUSY.
   uint64_t QueueDepthHint() const;
   void FlushConn(const std::shared_ptr<Connection>& conn);

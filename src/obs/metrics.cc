@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include <mutex>
@@ -47,6 +48,27 @@ Counter::Counter(const char* name) : name_(name) {
     g_counters[n] = this;
     g_num_counters.store(n + 1, std::memory_order_release);
   }
+}
+
+uint64_t Counter::Value() const {
+  std::lock_guard<std::mutex> g(mu_);
+  uint64_t sum = value_.load(std::memory_order_relaxed);
+  for (const LocalCounter* l : locals_) sum += l->Value();
+  return sum;
+}
+
+LocalCounter::LocalCounter(Counter& total) : total_(total) {
+  std::lock_guard<std::mutex> g(total_.mu_);
+  total_.locals_.push_back(this);
+}
+
+LocalCounter::~LocalCounter() {
+  std::lock_guard<std::mutex> g(total_.mu_);
+  // Fold and unlink in one critical section, so Value() sees this count
+  // exactly once.
+  total_.value_.fetch_add(Value(), std::memory_order_relaxed);
+  auto& v = total_.locals_;
+  v.erase(std::find(v.begin(), v.end(), this));
 }
 
 StageHistogram::StageHistogram(const char* name) : name_(name) {

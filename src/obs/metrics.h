@@ -1,7 +1,10 @@
 // Counter/gauge registry and JSON metrics snapshots.
 //
 // Counters are process-global named atomics, cheap enough for hot paths
-// (one relaxed RMW). Gauges are pull-style callbacks sampled at snapshot (or
+// (one relaxed RMW). A per-instance view of the same event count is a
+// LocalCounter bound to the Counter: the instance increments only its own
+// atomic and the registry sums it in, so every event is counted exactly
+// once. Gauges are pull-style callbacks sampled at snapshot (or
 // StatsReporter) time — used for queue depths and other instantaneous state.
 // A MetricsSnapshot collects counters, gauges, histograms, and per-txn-type
 // rows (extending sched::Metrics rather than replacing it) and serializes to
@@ -12,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,19 +24,48 @@
 
 namespace preemptdb::obs {
 
-// A named process-global counter. Instances must outlive all use (declare at
-// namespace scope); registration happens once in the constructor.
+class LocalCounter;
+
+// A named process-global counter. Instances must outlive all use, including
+// every LocalCounter bound to them (declare at namespace scope);
+// registration happens once in the constructor.
 class Counter {
  public:
   explicit Counter(const char* name);
   PDB_DISALLOW_COPY_AND_ASSIGN(Counter);
 
+  // For events with no per-instance owner.
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  // Direct adds, plus the final counts of destroyed locals, plus the live
+  // locals. Never goes backwards when a local dies.
+  uint64_t Value() const;
   const char* name() const { return name_; }
 
  private:
+  friend class LocalCounter;
+
   const char* name_;
+  // Direct adds and retired locals (folded in under mu_).
+  std::atomic<uint64_t> value_{0};
+  // Guards the live locals; taken on link, unlink and Value(), never by Add.
+  mutable std::mutex mu_;
+  std::vector<const LocalCounter*> locals_;
+};
+
+// A per-instance share of a Counter: Add() is one relaxed RMW on this
+// instance's own atomic, Value() is this instance's count, and the bound
+// Counter's Value() includes it, before and after this object dies.
+class LocalCounter {
+ public:
+  explicit LocalCounter(Counter& total);
+  ~LocalCounter();
+  PDB_DISALLOW_COPY_AND_ASSIGN(LocalCounter);
+
+  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  Counter& total_;
   std::atomic<uint64_t> value_{0};
 };
 

@@ -10,9 +10,9 @@ namespace preemptdb::obs {
 
 namespace {
 
-// Process-global violation totals; every watchdog instance feeds them so
-// the admin plane's kMetrics payload carries the SLO state with zero
-// plumbing. Per-instance counts live on the SloWatchdog.
+// Process-global violation totals, summed over every watchdog's
+// per-instance counts so the admin plane's kMetrics payload carries the SLO
+// state with zero plumbing.
 Counter g_hp_violations("slo.hp_violations");
 Counter g_lp_violations("slo.lp_violations");
 
@@ -70,7 +70,9 @@ SloWatchdog::SloWatchdog(const SloConfig& config)
       hp_(config.hp_target_us * 1000, config.percentile,
           config.window_ms * 1'000'000, config.ring_capacity),
       lp_(config.lp_target_us * 1000, config.percentile,
-          config.window_ms * 1'000'000, config.ring_capacity) {}
+          config.window_ms * 1'000'000, config.ring_capacity),
+      hp_violations_(g_hp_violations),
+      lp_violations_(g_lp_violations) {}
 
 SloWatchdog::~SloWatchdog() { Stop(); }
 
@@ -127,9 +129,7 @@ void SloWatchdog::EvaluateClass(bool high_priority, const SloTracker& tracker,
   measured.store(v.measured_ns, std::memory_order_relaxed);
   bool was = breached.load(std::memory_order_relaxed);
   if (v.breach) {
-    (high_priority ? hp_violations_ : lp_violations_)
-        .fetch_add(1, std::memory_order_relaxed);
-    (high_priority ? g_hp_violations : g_lp_violations).Add();
+    (high_priority ? hp_violations_ : lp_violations_).Add();
     if (!was) {
       Trace(EventType::kSloBreach, high_priority ? 1 : 0, v.measured_ns);
     }

@@ -97,12 +97,8 @@ class SloWatchdog {
 
   // Per-instance counts (the process-global slo.*_violations counters sum
   // across instances).
-  uint64_t hp_violations() const {
-    return hp_violations_.load(std::memory_order_relaxed);
-  }
-  uint64_t lp_violations() const {
-    return lp_violations_.load(std::memory_order_relaxed);
-  }
+  uint64_t hp_violations() const { return hp_violations_.Value(); }
+  uint64_t lp_violations() const { return lp_violations_.Value(); }
   bool hp_breached() const {
     return hp_breached_.load(std::memory_order_relaxed);
   }
@@ -133,8 +129,8 @@ class SloWatchdog {
 
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> hp_violations_{0};
-  std::atomic<uint64_t> lp_violations_{0};
+  LocalCounter hp_violations_;  // slo.hp_violations
+  LocalCounter lp_violations_;  // slo.lp_violations
   std::atomic<bool> hp_breached_{false};
   std::atomic<bool> lp_breached_{false};
   std::atomic<uint64_t> hp_measured_ns_{0};

@@ -97,7 +97,6 @@ bool Applier::ApplyChunk(const char* data, size_t n) {
       // snapshots on this replica include it.
       if (sh.commit_seq > 0) {
         engine_->AdvanceTs(sh.commit_seq);
-        applied_txns_.fetch_add(1, std::memory_order_relaxed);
         g_apply_txns.Add();
         uint64_t prev = applied_seq_.load(std::memory_order_relaxed);
         if (sh.commit_seq > prev) {
@@ -125,7 +124,6 @@ void Applier::ApplyRecord(uint64_t seq, const engine::LogRecordHeader& h,
     case LogRecordKind::kSecondaryCreate: {
       engine::Table* t = engine_->TableAt(h.table_id);
       if (t == nullptr) {
-        skipped_records_.fetch_add(1, std::memory_order_relaxed);
         g_apply_skipped.Add();
         return;
       }
@@ -137,7 +135,6 @@ void Applier::ApplyRecord(uint64_t seq, const engine::LogRecordHeader& h,
     case LogRecordKind::kData: {
       engine::Table* t = engine_->TableAt(h.table_id);
       if (t == nullptr) {
-        skipped_records_.fetch_add(1, std::memory_order_relaxed);
         g_apply_skipped.Add();
         return;
       }
@@ -157,24 +154,20 @@ void Applier::ApplyRecord(uint64_t seq, const engine::LogRecordHeader& h,
       // the version fully built (recovery can use relaxed; we cannot).
       t->Head(h.oid).store(v, std::memory_order_release);
       t->primary().Upsert(h.key, h.oid);
-      applied_records_.fetch_add(1, std::memory_order_relaxed);
       g_apply_records.Add();
       return;
     }
     case LogRecordKind::kSecondaryUpsert: {
       engine::Table* t = engine_->TableAt(h.table_id);
       if (t == nullptr || h.sec_ordinal >= t->SecondaryCount()) {
-        skipped_records_.fetch_add(1, std::memory_order_relaxed);
         g_apply_skipped.Add();
         return;
       }
       t->SecondaryAt(h.sec_ordinal)->Upsert(h.key, h.oid);
-      applied_records_.fetch_add(1, std::memory_order_relaxed);
       g_apply_records.Add();
       return;
     }
   }
-  skipped_records_.fetch_add(1, std::memory_order_relaxed);
   g_apply_skipped.Add();
 }
 

@@ -69,15 +69,6 @@ class Applier {
   uint64_t applied_seq() const {
     return applied_seq_.load(std::memory_order_acquire);
   }
-  uint64_t applied_txns() const {
-    return applied_txns_.load(std::memory_order_relaxed);
-  }
-  uint64_t applied_records() const {
-    return applied_records_.load(std::memory_order_relaxed);
-  }
-  uint64_t skipped_records() const {
-    return skipped_records_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct PendingRecord {
@@ -92,9 +83,6 @@ class Applier {
   // Transaction groups awaiting their end marker (apply-thread-only).
   std::map<uint64_t, std::vector<PendingRecord>> pending_;
   std::atomic<uint64_t> applied_seq_{0};
-  std::atomic<uint64_t> applied_txns_{0};
-  std::atomic<uint64_t> applied_records_{0};
-  std::atomic<uint64_t> skipped_records_{0};
 };
 
 }  // namespace preemptdb::repl

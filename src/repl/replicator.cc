@@ -89,6 +89,9 @@ bool DecodeHello(const std::string& payload, net::ReplHelloWire* out) {
 
 }  // namespace
 
+Replicator::Replicator(Options opts)
+    : opts_(std::move(opts)), reconnects_(g_repl_reconnects) {}
+
 bool Replicator::Bootstrap(std::string* err) {
   const std::string log_path = opts_.dir + "/redo.log";
 
@@ -207,8 +210,7 @@ void Replicator::RunApply() {
   bool first_attempt = true;
   while (!stopping_.load(std::memory_order_acquire)) {
     if (!first_attempt) {
-      reconnects_.fetch_add(1, std::memory_order_relaxed);
-      g_repl_reconnects.Add();
+      reconnects_.Add();
       for (int i = 0; i < 5 && !stopping_.load(std::memory_order_acquire);
            ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));

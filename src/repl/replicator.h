@@ -44,7 +44,7 @@ class Replicator {
     std::string dir;  // follower data directory
   };
 
-  explicit Replicator(Options opts) : opts_(std::move(opts)) {}
+  explicit Replicator(Options opts);
   ~Replicator() { Stop(); }
   PDB_DISALLOW_COPY_AND_ASSIGN(Replicator);
 
@@ -66,9 +66,7 @@ class Replicator {
   bool rebuild_required() const {
     return rebuild_required_.load(std::memory_order_acquire);
   }
-  uint64_t reconnects() const {
-    return reconnects_.load(std::memory_order_relaxed);
-  }
+  uint64_t reconnects() const { return reconnects_.Value(); }
   // Primary's durable commit frontier as of the last kReplAppend frame —
   // applied_seq() vs this is the follower's staleness in commit_seqs.
   uint64_t primary_durable_seq() const {
@@ -91,7 +89,7 @@ class Replicator {
   std::atomic<bool> connected_{false};
   std::atomic<bool> rebuild_required_{false};
   std::atomic<int> live_fd_{-1};
-  std::atomic<uint64_t> reconnects_{0};
+  obs::LocalCounter reconnects_;  // repl.follower.reconnects
   std::atomic<uint64_t> primary_durable_seq_{0};
 };
 

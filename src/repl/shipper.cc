@@ -62,7 +62,7 @@ size_t WholeFramePrefix(const char* data, size_t n) {
 Shipper::Shipper(engine::Engine* engine) : Shipper(engine, Options()) {}
 
 Shipper::Shipper(engine::Engine* engine, Options opts)
-    : engine_(engine), opts_(opts) {}
+    : engine_(engine), opts_(opts), sessions_started_(g_ship_sessions) {}
 
 Shipper::~Shipper() {
   Stop();
@@ -95,8 +95,7 @@ void Shipper::AddFollower(int fd, const net::RequestHeader& sub) {
     }
     s->fd.store(fd, std::memory_order_release);
     s->active.store(true, std::memory_order_release);
-    sessions_started_.fetch_add(1, std::memory_order_relaxed);
-    g_ship_sessions.Add();
+    sessions_started_.Add();
     s->thread = std::thread([this, s, sub] { Run(s, sub); });
     return;
   }

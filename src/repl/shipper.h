@@ -86,9 +86,7 @@ class Shipper {
   std::vector<FollowerView> Followers() const;
   uint32_t follower_count() const;
   uint64_t max_lag_bytes() const;
-  uint64_t sessions_started() const {
-    return sessions_started_.load(std::memory_order_relaxed);
-  }
+  uint64_t sessions_started() const { return sessions_started_.Value(); }
 
  private:
   struct Slot {
@@ -110,7 +108,7 @@ class Shipper {
   engine::Engine* const engine_;
   const Options opts_;
   std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> sessions_started_{0};
+  obs::LocalCounter sessions_started_;  // repl.ship.sessions
   mutable std::mutex mu_;  // slot assignment / join
   Slot slots_[kMaxFollowers];
   obs::GaugeGroup gauges_;

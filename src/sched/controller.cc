@@ -27,6 +27,9 @@ Controller::Controller(const ControllerConfig& config, TunableConfig* tunables,
       signals_(std::move(signals)),
       seed_demote_latency_ns_(tunables->demote_latency_ns()),
       seed_probe_ticks_(tunables->probe_interval_ticks()),
+      evals_(g_evals_counter),
+      retunes_(g_retunes_counter),
+      holds_(g_holds_counter),
       last_action_("idle") {
   PDB_CHECK(tunables_ != nullptr);
 }
@@ -89,13 +92,11 @@ void Controller::NoteRetune(CtlKnob knob, uint64_t old_v, uint64_t new_v) {
 }
 
 void Controller::EvaluateOnce(uint64_t now_ns) {
-  evals_.fetch_add(1, std::memory_order_relaxed);
-  g_evals_counter.Add();
+  evals_.Add();
   ++evals_since_retune_;
 
   auto hold = [this](const char* why) {
-    holds_.fetch_add(1, std::memory_order_relaxed);
-    g_holds_counter.Add();
+    holds_.Add();
     last_action_.store(why, std::memory_order_relaxed);
   };
 
@@ -260,8 +261,7 @@ void Controller::EvaluateOnce(uint64_t now_ns) {
     hold("apply_rejected");
     return;
   }
-  retunes_.fetch_add(1, std::memory_order_relaxed);
-  g_retunes_counter.Add();
+  retunes_.Add();
   last_retune_ns_.store(now_ns, std::memory_order_relaxed);
   last_action_.store(action, std::memory_order_relaxed);
   evals_since_retune_ = 0;

@@ -117,11 +117,9 @@ class Controller {
   // exposed for deterministic tests with synthetic clocks.
   void EvaluateOnce(uint64_t now_ns);
 
-  uint64_t evals() const { return evals_.load(std::memory_order_relaxed); }
-  uint64_t retunes() const {
-    return retunes_.load(std::memory_order_relaxed);
-  }
-  uint64_t holds() const { return holds_.load(std::memory_order_relaxed); }
+  uint64_t evals() const { return evals_.Value(); }
+  uint64_t retunes() const { return retunes_.Value(); }
+  uint64_t holds() const { return holds_.Value(); }
   // Timestamp (the now_ns of the evaluation) of the last retune; 0 = never.
   uint64_t last_retune_ns() const {
     return last_retune_ns_.load(std::memory_order_relaxed);
@@ -148,9 +146,9 @@ class Controller {
 
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> evals_{0};
-  std::atomic<uint64_t> retunes_{0};
-  std::atomic<uint64_t> holds_{0};
+  obs::LocalCounter evals_;    // ctl.evals
+  obs::LocalCounter retunes_;  // ctl.retunes
+  obs::LocalCounter holds_;    // ctl.holds
   std::atomic<uint64_t> last_retune_ns_{0};
   std::atomic<const char*> last_action_;
   int evals_since_retune_ = 0;  // evaluation-thread / test-driver only

@@ -27,6 +27,9 @@ Scheduler::Scheduler(const SchedulerConfig& config, Workload workload)
                                                            : 1) *
                     config.hp_queue_capacity),
       workload_(std::move(workload)),
+      expired_(g_expired_counter),
+      demotions_(g_demoted_counter),
+      promotions_(g_promoted_counter),
       stats_reporter_(config.stats_period_ms) {
   PDB_CHECK(workload_.step != nullptr);
   PDB_CHECK(config_.num_workers >= 1);
@@ -83,8 +86,7 @@ size_t Scheduler::PruneExpired(std::vector<Request>& batch, size_t from,
   for (size_t i = from; i < batch.size(); ++i) {
     const Request& r = batch[i];
     if (r.deadline_ns != 0 && now >= r.deadline_ns) {
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      g_expired_counter.Add();
+      expired_.Add();
       obs::Trace(obs::EventType::kHpExpired, r.type);
       if (workload_.on_expired) workload_.on_expired(r);
     } else {
@@ -223,8 +225,7 @@ void Scheduler::UpdateWorkerHealth() {
                            now - h.first_unacked_ns >= demote_latency_ns;
       if (failing || stalled) {
         w.SetDegraded(true);
-        demotions_.fetch_add(1, std::memory_order_relaxed);
-        g_demoted_counter.Add();
+        demotions_.Add();
         obs::Trace(obs::EventType::kWorkerDemoted,
                    static_cast<uint32_t>(w.obs_track()));
         h.consecutive_failures = 0;
@@ -234,8 +235,7 @@ void Scheduler::UpdateWorkerHealth() {
       }
     } else if (advanced) {
       w.SetDegraded(false);
-      promotions_.fetch_add(1, std::memory_order_relaxed);
-      g_promoted_counter.Add();
+      promotions_.Add();
       obs::Trace(obs::EventType::kWorkerPromoted,
                  static_cast<uint32_t>(w.obs_track()));
       h.consecutive_failures = 0;
@@ -267,8 +267,7 @@ void Scheduler::PlacementPass(uint64_t deadline_ns, bool tick) {
         r.priority = Priority::kLow;
         r.gen_ns = MonoNanos();
         if (r.deadline_ns != 0 && r.gen_ns >= r.deadline_ns) {
-          expired_.fetch_add(1, std::memory_order_relaxed);
-          g_expired_counter.Add();
+          expired_.Add();
           obs::Trace(obs::EventType::kHpExpired, r.type);
           if (workload_.on_expired) workload_.on_expired(r);
           continue;

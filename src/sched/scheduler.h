@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/stats_reporter.h"
 #include "sched/config.h"
 #include "sched/request.h"
@@ -100,16 +101,12 @@ class Scheduler {
   }
   // Requests whose deadline passed before placement (distinct from shed:
   // expired work is completed as kTimeout, never requeued).
-  uint64_t expired() const { return expired_.load(std::memory_order_relaxed); }
+  uint64_t expired() const { return expired_.Value(); }
 
   // Degradation transitions taken so far (see SchedulerConfig degradation
   // knobs): preempt->yield demotions and yield->preempt promotions.
-  uint64_t demotions() const {
-    return demotions_.load(std::memory_order_relaxed);
-  }
-  uint64_t promotions() const {
-    return promotions_.load(std::memory_order_relaxed);
-  }
+  uint64_t demotions() const { return demotions_.Value(); }
+  uint64_t promotions() const { return promotions_.Value(); }
   bool worker_degraded(int i) const { return workers_[i]->degraded(); }
 
   // Queue-depth aggregates sampled while running (started by Start() when
@@ -160,9 +157,9 @@ class Scheduler {
   std::atomic<uint64_t> uipis_sent_{0};
   std::atomic<uint64_t> hp_dropped_{0};
   std::atomic<uint64_t> hp_admitted_{0};
-  std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> promotions_{0};
+  obs::LocalCounter expired_;     // sched.hp_expired
+  obs::LocalCounter demotions_;   // sched.worker_demoted
+  obs::LocalCounter promotions_;  // sched.worker_promoted
   size_t rr_next_ = 0;
   obs::StatsReporter stats_reporter_;
   std::vector<int> gauge_ids_;

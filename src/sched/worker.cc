@@ -305,7 +305,6 @@ void Worker::InterleaveLoop() {
           g_ilv_prefetch.Add(s.sc.prefetches);
           s.active = false;
           --active;
-          lp_executed_.fetch_add(1, std::memory_order_relaxed);
           if (static_cast<int>(idx) == window_slot) {
             // The window transaction finished: restart the starvation
             // window on a surviving slot (else close it below).

@@ -78,9 +78,6 @@ class Worker {
   size_t LpDepth() const { return lp_queue_.Size(); }
   size_t HpDepth() const { return hp_queue_.Size(); }
 
-  uint64_t lp_executed() const {
-    return lp_executed_.load(std::memory_order_relaxed);
-  }
   uint64_t hp_executed() const {
     return hp_executed_.load(std::memory_order_relaxed);
   }
@@ -141,7 +138,6 @@ class Worker {
   std::atomic<uint64_t> t0_cycles_{0};  // 0 = no LP transaction in progress
   std::atomic<uint64_t> th_cycles_{0};
 
-  std::atomic<uint64_t> lp_executed_{0};
   std::atomic<uint64_t> hp_executed_{0};
   std::atomic<uint64_t> hp_executed_preempt_{0};
 };

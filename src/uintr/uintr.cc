@@ -108,7 +108,11 @@ void SigurgHandler(int /*signo*/, siginfo_t* /*info*/, void* /*uctx*/) {
     return;
   }
   r->stats.switched.fetch_add(1, std::memory_order_relaxed);
+  // The preemptive context runs on this thread, so the errno it leaves
+  // behind would leak into the interrupted code: keep the interrupted value.
+  const int saved_errno = errno;
   SwitchTo(r, 1);
+  errno = saved_errno;
   // Back from the preemptive context; returning pops the signal frame and
   // resumes the interrupted transaction exactly where it was preempted.
 }

@@ -25,6 +25,7 @@
 #include "net/server.h"
 #include "net/shard.h"
 #include "obs/json_parse.h"
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 namespace preemptdb {
@@ -617,7 +618,7 @@ TEST_F(NetTest, HighPriorityOvertakesQueuedLowPriority) {
       << "the HP request must overtake at least one queued LP scan";
 }
 
-// --- Protocol v2: version negotiation, timeline echo, admin plane ---
+// --- Protocol versioning, timeline echo, admin plane ---
 
 TEST(NetProtocolTest, TimelineWireTrailsThePayloadAndRoundTrips) {
   net::TimelineWire t;
@@ -652,105 +653,73 @@ TEST(NetProtocolTest, TimelineWireTrailsThePayloadAndRoundTrips) {
 }
 
 TEST(NetProtocolTest, EncodersPreserveSupportedVersionsAndClampOthers) {
-  // A caller-set v1 survives encoding (how old clients and these tests emit
-  // legacy frames); an out-of-range version is clamped to current.
+  // The current version survives encoding; any other (the retired v1, an
+  // unknown future one) is stamped over with the current version.
   net::RequestHeader h;
-  h.version = 1;
-  std::string frame;
-  net::EncodeRequest(h, {}, &frame);
   net::RequestHeader d;
-  ASSERT_TRUE(net::DecodeRequestHeader(
-      reinterpret_cast<const uint8_t*>(frame.data()), &d));
-  EXPECT_EQ(d.version, 1);
+  std::string frame;
+  for (uint8_t v : {net::kProtocolVersion, uint8_t{1}, uint8_t{99}}) {
+    h.version = v;
+    frame.clear();
+    net::EncodeRequest(h, {}, &frame);
+    ASSERT_TRUE(net::DecodeRequestHeader(
+        reinterpret_cast<const uint8_t*>(frame.data()), &d));
+    EXPECT_EQ(d.version, net::kProtocolVersion) << "encoded as v" << int{v};
+  }
 
-  h.version = 99;
-  frame.clear();
-  net::EncodeRequest(h, {}, &frame);
-  ASSERT_TRUE(net::DecodeRequestHeader(
-      reinterpret_cast<const uint8_t*>(frame.data()), &d));
-  EXPECT_EQ(d.version, net::kProtocolVersion);
-
-  // Response side: v1 round-trips, but a spliced unknown version fails the
-  // decode — the client must not interpret fields a future server might
-  // have re-defined.
+  // Response side: the current version round-trips, but a spliced other
+  // version fails the decode — the client must not interpret fields another
+  // server version may define differently.
   net::ResponseHeader rh;
-  rh.version = 1;
   frame.clear();
   net::EncodeResponse(rh, {}, &frame);
   net::ResponseHeader rd;
   ASSERT_TRUE(net::DecodeResponseHeader(
       reinterpret_cast<const uint8_t*>(frame.data()), &rd));
-  EXPECT_EQ(rd.version, 1);
-  frame[4] = 99;
-  EXPECT_FALSE(net::DecodeResponseHeader(
-      reinterpret_cast<const uint8_t*>(frame.data()), &rd));
-}
-
-TEST_F(NetTest, V1ClientRoundTripsAgainstV2Server) {
-  StartDefault();
-  net::Client c = Connect();
-  net::Client::Result res;
-  std::string err;
-
-  auto v1 = [](Op op) {
-    net::RequestHeader h;
-    h.version = 1;
-    h.opcode = static_cast<uint8_t>(op);
-    h.prio_class = static_cast<uint8_t>(WireClass::kHigh);
-    return h;
-  };
-
-  net::RequestHeader h = v1(Op::kPut);
-  h.params[0] = 11;
-  ASSERT_TRUE(c.Call(h, "legacy", &res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kOk);
-  EXPECT_EQ(res.version, 1) << "the response must echo the request's version";
-  EXPECT_FALSE(res.has_timeline) << "a v1 response never grows new bytes";
-
-  h = v1(Op::kGet);
-  h.params[0] = 11;
-  ASSERT_TRUE(c.Call(h, {}, &res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kOk);
-  EXPECT_EQ(res.payload, "legacy");
-  EXPECT_EQ(res.version, 1);
-
-  h = v1(Op::kScanSum);
-  h.params[0] = 1;
-  h.params[1] = 100;
-  ASSERT_TRUE(c.Call(h, {}, &res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kOk);
-  EXPECT_EQ(res.payload.size(), 16u);
-
-  h = v1(Op::kPing);
-  ASSERT_TRUE(c.Call(h, {}, &res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kOk);
-
-  EXPECT_EQ(server_->bad_requests(), 0u);
+  EXPECT_EQ(rd.version, net::kProtocolVersion);
+  for (char v : {1, 99}) {
+    frame[4] = v;
+    EXPECT_FALSE(net::DecodeResponseHeader(
+        reinterpret_cast<const uint8_t*>(frame.data()), &rd));
+  }
 }
 
 TEST_F(NetTest, UnsupportedVersionAnswersBadRequestNotAHang) {
   StartDefault();
   net::Client c = Connect();
-  net::RequestHeader h;
-  h.opcode = static_cast<uint8_t>(Op::kPing);
-  h.request_id = 424242;
-  std::string frame;
-  net::EncodeRequest(h, {}, &frame);
-  frame[4] = 99;  // splice an unknown version into an otherwise valid frame
-  ASSERT_EQ(::send(c.fd(), frame.data(), frame.size(), 0),
-            static_cast<ssize_t>(frame.size()));
-
   net::Client::Result res;
   std::string err;
-  ASSERT_TRUE(c.Recv(&res, &err)) << err;  // a reply — not a hang or a close
-  EXPECT_EQ(res.status, WireStatus::kBadRequest);
-  EXPECT_EQ(res.request_id, 424242u);
-  EXPECT_EQ(server_->bad_requests(), 1u);
+  // The retired v1 gets the same answer as an unknown future version; so
+  // does a v1 frame with flag bits set.
+  const struct {
+    char version;
+    uint8_t flags;
+  } cases[] = {{99, 0}, {1, 0}, {1, net::kReqFlagBatch}};
+  uint64_t rejected = 0;
+  for (const auto& tc : cases) {
+    net::RequestHeader h;
+    h.opcode = static_cast<uint8_t>(Op::kPing);
+    h.flags = tc.flags;
+    h.request_id = 424242;
+    std::string frame;
+    net::EncodeRequest(h, {}, &frame);
+    frame[4] = tc.version;  // splice the version into an otherwise valid frame
+    ASSERT_EQ(::send(c.fd(), frame.data(), frame.size(), 0),
+              static_cast<ssize_t>(frame.size()));
 
-  // The 48-byte layout is version-stable, so framing is intact and the same
-  // connection keeps serving supported-version traffic.
-  ASSERT_TRUE(c.Ping(&res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kOk);
+    // A reply — not a hang or a close.
+    ASSERT_TRUE(c.Recv(&res, &err)) << err << " for v" << int{tc.version};
+    EXPECT_EQ(res.status, WireStatus::kBadRequest);
+    EXPECT_EQ(res.request_id, 424242u);
+    EXPECT_EQ(res.version, net::kProtocolVersion)
+        << "the reply names the version the server speaks";
+    EXPECT_EQ(server_->bad_requests(), ++rejected);
+
+    // The 48-byte layout is version-stable, so framing is intact and the
+    // same connection keeps serving current-version traffic.
+    ASSERT_TRUE(c.Ping(&res, &err)) << err;
+    EXPECT_EQ(res.status, WireStatus::kOk);
+  }
 }
 
 TEST_F(NetTest, TimelineEchoPartitionsServerTimeExactly) {
@@ -1142,9 +1111,9 @@ TEST_F(NetTest, ShardedServerSpreadsConnectionsAcrossReuseportListeners) {
   uint64_t sum = 0;
   int shards_with_conns = 0;
   for (uint32_t i = 0; i < 4; ++i) {
-    net::ListenerStats ss = server_->shard_stats(i);
-    sum += ss.conns_accepted;
-    if (ss.conns_accepted > 0) ++shards_with_conns;
+    uint64_t accepted = server_->shard_stats(i).conns_accepted.Value();
+    sum += accepted;
+    if (accepted > 0) ++shards_with_conns;
   }
   EXPECT_EQ(sum, static_cast<uint64_t>(kConns));
   EXPECT_GE(shards_with_conns, 2)
@@ -1181,9 +1150,9 @@ TEST_F(NetTest, HandoffFallbackSpreadsAndServesEveryConnection) {
   uint64_t sum = 0;
   int shards_with_conns = 0;
   for (uint32_t i = 0; i < 4; ++i) {
-    net::ListenerStats ss = server_->shard_stats(i);
-    sum += ss.conns_accepted;
-    if (ss.conns_accepted > 0) ++shards_with_conns;
+    uint64_t accepted = server_->shard_stats(i).conns_accepted.Value();
+    sum += accepted;
+    if (accepted > 0) ++shards_with_conns;
   }
   EXPECT_EQ(sum, static_cast<uint64_t>(kConns));
   // 16 concurrently-open sockets get mostly-consecutive fds, so fd % 4
@@ -1227,13 +1196,12 @@ TEST_F(NetTest, CompletionWakesCoalesceUnderPipelinedLoad) {
     ASSERT_TRUE(c.Recv(&res, &err)) << err << " after " << i;
   }
 
-  net::ListenerStats agg = server_->stats();
-  EXPECT_EQ(agg.replies, static_cast<uint64_t>(kBurst));
-  EXPECT_LT(agg.eventfd_wakes, agg.replies)
+  EXPECT_EQ(server_->replies(), static_cast<uint64_t>(kBurst));
+  EXPECT_LT(server_->eventfd_wakes(), server_->replies())
       << "per-response eventfd writes defeat wake coalescing";
-  ASSERT_GT(agg.completion_batches, 0u);
-  EXPECT_GT(static_cast<double>(agg.completions) /
-                static_cast<double>(agg.completion_batches),
+  ASSERT_GT(server_->completion_batches(), 0u);
+  EXPECT_GT(static_cast<double>(server_->completions()) /
+                static_cast<double>(server_->completion_batches()),
             1.0)
       << "a drained batch should average more than one completion";
 }
@@ -1288,9 +1256,53 @@ TEST_F(NetTest, ConnResetChurnNeverLosesCompletions) {
   // accounting must then converge exactly: one completion per admission.
   ASSERT_TRUE(WaitUntil(
       [&] { return server_->completions() >= server_->admitted(); }, 5000));
-  net::ListenerStats agg = server_->stats();
-  EXPECT_EQ(agg.completions, agg.admitted) << "lost or duplicated completion";
-  EXPECT_EQ(agg.completions_pushed, agg.admitted);
+  EXPECT_EQ(server_->completions(), server_->admitted())
+      << "lost or duplicated completion";
+  EXPECT_EQ(server_->completions_pushed(), server_->admitted());
+}
+
+uint64_t RegistryCounter(const char* name) {
+  for (int i = 0; i < obs::NumCounters(); ++i) {
+    const obs::Counter* c = obs::CounterAt(i);
+    if (std::strcmp(c->name(), name) == 0) return c->Value();
+  }
+  ADD_FAILURE() << "no registered counter " << name;
+  return 0;
+}
+
+TEST_F(NetTest, ShardRepliesRollUpIntoResponsesSentExactly) {
+  // Each reply is counted once, on its shard; the process-wide
+  // net.responses_sent is the sum of those shard counts, and keeps them
+  // after the server is gone.
+  const uint64_t before = RegistryCounter("net.responses_sent");
+  net::Server::Options so;
+  so.num_shards = 2;
+  DB::Options dbo;
+  dbo.scheduler.policy = sched::Policy::kPreempt;
+  dbo.scheduler.num_workers = 2;
+  dbo.scheduler.arrival_interval_us = 500;
+  Start(dbo, so);
+
+  constexpr int kConns = 8;
+  constexpr int kPerConn = 5;
+  net::Client::Result res;
+  std::string err;
+  for (int i = 0; i < kConns; ++i) {
+    net::Client c = Connect();
+    for (int j = 0; j < kPerConn; ++j) {
+      ASSERT_TRUE(c.Ping(&res, &err)) << err;
+    }
+  }
+  const uint64_t replies = server_->shard_stats(0).replies.Value() +
+                           server_->shard_stats(1).replies.Value();
+  EXPECT_EQ(replies, static_cast<uint64_t>(kConns * kPerConn));
+  EXPECT_EQ(server_->replies(), replies);
+  EXPECT_EQ(RegistryCounter("net.responses_sent") - before, replies);
+
+  server_->Stop();
+  server_.reset();
+  EXPECT_EQ(RegistryCounter("net.responses_sent") - before, replies)
+      << "a destroyed server's replies must stay in the process total";
 }
 
 TEST(NetClientRetryTest, ConnectRetriesUntilListenerAppears) {
@@ -1478,27 +1490,7 @@ TEST_F(NetTest, BatchTruncatedMidFrameClosesConnectionNoHang) {
   EXPECT_EQ(res.status, WireStatus::kOk);
 }
 
-TEST_F(NetTest, V1FrameWithFlagBitsRejected) {
-  StartDefault();
-  net::Client c = Connect();
-  net::Client::Result res;
-  std::string err;
-
-  // Flag bits carry v2 semantics; a v1 frame with any bit set is a confused
-  // client. Reject explicitly rather than silently ignoring the flag.
-  net::RequestHeader h;
-  h.version = 1;
-  h.flags = net::kReqFlagBatch;
-  h.opcode = static_cast<uint8_t>(Op::kPing);
-  ASSERT_TRUE(c.Call(h, {}, &res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kBadRequest);
-  EXPECT_EQ(server_->bad_requests(), 1u);
-
-  ASSERT_TRUE(c.Ping(&res, &err)) << err;
-  EXPECT_EQ(res.status, WireStatus::kOk);
-}
-
-TEST_F(NetTest, QueueDepthHintRidesV2ResponsesOnly) {
+TEST_F(NetTest, QueueDepthHintRidesResponses) {
   // Wedged pipeline (tiny submit queue, held worker): the burst's BUSY
   // rejections are stamped while 4 submissions sit admitted-and-incomplete,
   // so their queue-depth hint is deterministic.
@@ -1539,16 +1531,6 @@ TEST_F(NetTest, QueueDepthHintRidesV2ResponsesOnly) {
   }
   EXPECT_GT(busy, 0);
   EXPECT_GE(max_hint, 1u);
-
-  // v1 responses never grow the hint: the reserved byte stays zero.
-  net::RequestHeader v1;
-  v1.version = 1;
-  v1.opcode = static_cast<uint8_t>(Op::kGet);
-  v1.prio_class = static_cast<uint8_t>(WireClass::kHigh);
-  v1.params[0] = 1;
-  net::Client::Result res;
-  ASSERT_TRUE(c.Call(v1, {}, &res, &err)) << err;
-  EXPECT_EQ(res.queue_hint, 0u);
 }
 
 }  // namespace

@@ -251,6 +251,99 @@ TEST_F(ObsTest, CounterRegistryAndSnapshotJson) {
   EXPECT_NE(json.find("\"committed\":10"), std::string::npos);
 }
 
+// --- LocalCounter: per-instance shares of one registry counter ---
+
+TEST_F(ObsTest, LiveLocalsAndDirectAddsSumIntoOneSnapshotKey) {
+  static Counter c("obs_test.local_sum");
+  LocalCounter a(c);
+  LocalCounter b(c);
+  a.Add(2);
+  b.Add(5);
+  c.Add(10);
+
+  MetricsSnapshot snap;
+  snap.CaptureRegistry();
+  std::string json = snap.ToJson();
+  JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(JsonParse(json, &doc, &err)) << err;
+  const JsonValue* v = doc.Path({"counters", "obs_test.local_sum"});
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->number, 17);
+  EXPECT_EQ(json.find("\"obs_test.local_sum\""),
+            json.rfind("\"obs_test.local_sum\""))
+      << "locals must not add keys of their own";
+}
+
+TEST_F(ObsTest, DestroyedLocalCountStaysInCounterValue) {
+  static Counter c("obs_test.local_retired");
+  {
+    LocalCounter l(c);
+    l.Add(7);
+    EXPECT_EQ(c.Value(), 7u);
+  }
+  EXPECT_EQ(c.Value(), 7u) << "the total must not go back when a local dies";
+  LocalCounter l2(c);
+  l2.Add();
+  EXPECT_EQ(l2.Value(), 1u);
+  EXPECT_EQ(c.Value(), 8u);
+}
+
+TEST_F(ObsTest, EachLocalValueIsIndependent) {
+  static Counter c("obs_test.local_independent");
+  static Counter other("obs_test.local_other");
+  LocalCounter a(c);
+  LocalCounter b(c);
+  LocalCounter x(other);
+  a.Add(3);
+  b.Add(4);
+  x.Add(100);
+  c.Add(1);
+  EXPECT_EQ(a.Value(), 3u);
+  EXPECT_EQ(b.Value(), 4u);
+  EXPECT_EQ(x.Value(), 100u);
+  EXPECT_EQ(c.Value(), 8u);
+  EXPECT_EQ(other.Value(), 100u);
+}
+
+TEST_F(ObsTest, ConcurrentAddsWhileLocalsComeAndGoStayExact) {
+  // Adders churn locals (link, add, unlink) and bump a long-lived one and
+  // the counter directly, while a sampler reads Value(): every read is a
+  // consistent, never-decreasing total, and the final total is exact.
+  static Counter c("obs_test.local_churn");
+  constexpr int kThreads = 4;
+  constexpr int kLocals = 200;
+  constexpr int kAddsPerLocal = 50;
+  std::atomic<bool> done{false};
+  std::atomic<bool> went_backwards{false};
+  std::thread sampler([&] {
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      uint64_t v = c.Value();
+      if (v < last) went_backwards.store(true);
+      last = v;
+    }
+  });
+  std::vector<std::thread> adders;
+  for (int t = 0; t < kThreads; ++t) {
+    adders.emplace_back([&] {
+      LocalCounter resident(c);
+      for (int i = 0; i < kLocals; ++i) {
+        LocalCounter l(c);
+        for (int j = 0; j < kAddsPerLocal; ++j) l.Add();
+        resident.Add();
+        c.Add();
+      }
+    });
+  }
+  for (auto& t : adders) t.join();
+  done.store(true, std::memory_order_release);
+  sampler.join();
+  EXPECT_FALSE(went_backwards.load());
+  EXPECT_EQ(c.Value(),
+            static_cast<uint64_t>(kThreads) * kLocals * (kAddsPerLocal + 2));
+}
+
 TEST_F(ObsTest, UnregisteredGaugeStopsBeingSampled) {
   int gid = RegisterGauge("obs_test.temp", [] { return 7.0; });
   UnregisterGauge(gid);

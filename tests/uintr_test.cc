@@ -3,6 +3,8 @@
 // both drop and defer modes, and starvation-free delivery.
 #include <gtest/gtest.h>
 
+#include <errno.h>
+
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -268,6 +270,44 @@ TEST(Uintr, PreemptContextCanAllocate) {
   AllocHarness w;
   EXPECT_TRUE(SendUntil(w.receiver(), [&] { return w.preempt_hits() > 100; },
                         5000));
+}
+
+TEST(Uintr, PreemptionPreservesInterruptedErrno) {
+  // The preemptive context shares the interrupted thread's errno; whatever
+  // it leaves there must not show up in the code it preempted.
+  std::atomic<Receiver*> recv{nullptr};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> clobbered{0};
+  std::thread t([&] {
+    recv.store(RegisterReceiver(
+                   +[](void* p) {
+                     auto* n = static_cast<std::atomic<uint64_t>*>(p);
+                     while (true) {
+                       errno = ERANGE;
+                       n->fetch_add(1);
+                       SwapToMain();
+                     }
+                   },
+                   &hits),
+               std::memory_order_release);
+    volatile int* err = &errno;
+    *err = EDOM;
+    while (!stop.load(std::memory_order_acquire)) {
+      if (*err != EDOM) {
+        clobbered.fetch_add(1);
+        *err = EDOM;
+      }
+    }
+    UnregisterReceiver();
+  });
+  while (recv.load(std::memory_order_acquire) == nullptr) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(SendUntil(recv.load(), [&] { return hits.load() >= 20; }));
+  stop.store(true, std::memory_order_release);
+  t.join();
+  EXPECT_EQ(clobbered.load(), 0u);
 }
 
 TEST(Uintr, HeavyPreemptionStress) {
