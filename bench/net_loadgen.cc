@@ -547,15 +547,7 @@ int main(int argc, char** argv) {
     std::string value(cfg.value_size, 'v');
     auto* table = db->GetTable(so.kv_table);
     Rc rc = db->Execute([&](engine::Engine& eng) {
-      auto* txn = eng.Begin();
-      for (uint64_t k = 1; k <= cfg.keys; ++k) {
-        Rc r = txn->Insert(table, k, value);
-        if (!IsOk(r)) {
-          txn->Abort();
-          return r;
-        }
-      }
-      return txn->Commit();
+      return PreloadKv(eng, table, cfg.keys, value);
     });
     PDB_CHECK_MSG(IsOk(rc), "preload failed");
     std::fprintf(stderr,

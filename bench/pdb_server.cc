@@ -171,19 +171,10 @@ int main(int argc, char** argv) {
   std::string value(static_cast<size_t>(flags.GetInt("value-size", 64)), 'v');
   if (keys > 0) {
     auto* table = db->GetTable(so.kv_table);
+    // A durable restart recovers the previous run's rows; PreloadKv leaves
+    // them as recovered.
     Rc rc = db->Execute([&](engine::Engine& eng) {
-      auto* txn = eng.Begin();
-      for (uint64_t k = 1; k <= keys; ++k) {
-        Rc r = txn->Insert(table, k, value);
-        // A durable restart recovers the previous run's rows; re-preloading
-        // over them is fine, existing keys just stay as recovered.
-        if (r == Rc::kKeyExists) continue;
-        if (!IsOk(r)) {
-          txn->Abort();
-          return r;
-        }
-      }
-      return txn->Commit();
+      return PreloadKv(eng, table, keys, value);
     });
     if (!IsOk(rc)) {
       std::fprintf(stderr, "preload failed\n");

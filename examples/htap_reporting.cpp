@@ -6,11 +6,14 @@
 // PreemptDB — and prints the sales-transaction latency profile for each,
 // demonstrating why preemption matters for mixed HTAP workloads.
 //
-//   $ ./build/examples/htap_reporting
+//   $ ./build/examples/htap_reporting [--short]
+//
+// --short times 20 sales per policy instead of 100 (the ctest run).
 #include <atomic>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "core/preemptdb.h"
 #include "util/clock.h"
@@ -22,7 +25,6 @@ using namespace preemptdb;
 namespace {
 
 constexpr uint64_t kProducts = 20000;
-constexpr uint64_t kSaleRecords = 100;
 
 struct SaleRow {
   uint64_t product;
@@ -91,7 +93,8 @@ Rc SaleTxn(engine::Engine& eng, engine::Table* products,
   return txn->Commit();
 }
 
-void RunScenario(sched::Policy policy, const char* label) {
+void RunScenario(sched::Policy policy, const char* label,
+                 uint64_t sale_records) {
   DB::Options options;
   options.scheduler.policy = policy;
   options.scheduler.num_workers = 2;
@@ -116,7 +119,7 @@ void RunScenario(sched::Policy policy, const char* label) {
   // Fire sales transactions and measure their end-to-end latency.
   LatencyHistogram latency;
   FastRandom rng(42);
-  for (uint64_t i = 0; i < kSaleRecords; ++i) {
+  for (uint64_t i = 0; i < sale_records; ++i) {
     uint64_t product = rng.UniformU64(1, kProducts);
     uint64_t t0 = MonoNanos();
     Rc rc = db->SubmitAndWait(
@@ -134,11 +137,13 @@ void RunScenario(sched::Policy policy, const char* label) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool short_run = argc > 1 && std::string_view(argv[1]) == "--short";
+  const uint64_t sale_records = short_run ? 20 : 100;
   std::printf(
       "# reporting jobs monopolize workers; sales txns need low latency\n");
-  RunScenario(sched::Policy::kWait, "Wait");
-  RunScenario(sched::Policy::kPreempt, "PreemptDB");
+  RunScenario(sched::Policy::kWait, "Wait", sale_records);
+  RunScenario(sched::Policy::kPreempt, "PreemptDB", sale_records);
   std::printf(
       "# PreemptDB: order-of-magnitude lower median; tails compress on 1-core hosts\n");
   return 0;

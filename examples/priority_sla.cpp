@@ -6,10 +6,13 @@
 // The example overloads a PreemptDB instance with high-priority point reads
 // under three thresholds and shows the analytics-vs-point-read tradeoff.
 //
-//   $ ./build/examples/priority_sla
+//   $ ./build/examples/priority_sla [--short]
+//
+// --short floods for 0.2 s per threshold instead of 1.5 s (the ctest run).
 #include <atomic>
 #include <cstdio>
 #include <functional>
+#include <string_view>
 
 #include "core/preemptdb.h"
 #include "engine/hooks.h"
@@ -39,7 +42,7 @@ void Load(DB& db, engine::Table* t) {
   });
 }
 
-void RunWithThreshold(double threshold) {
+void RunWithThreshold(double threshold, uint64_t flood_ns) {
   DB::Options options;
   options.scheduler.policy = sched::Policy::kPreempt;
   options.scheduler.num_workers = 2;
@@ -81,7 +84,7 @@ void RunWithThreshold(double threshold) {
 
   // Flood of high-priority point reads.
   FastRandom rng(5);
-  uint64_t deadline = MonoNanos() + 1500000000ull;  // 1.5 s
+  uint64_t deadline = MonoNanos() + flood_ns;
   while (MonoNanos() < deadline) {
     uint64_t key = rng.UniformU64(0, kRows - 1);
     db->Submit(sched::Priority::kHigh, [&, t, key](engine::Engine& eng) {
@@ -108,11 +111,13 @@ void RunWithThreshold(double threshold) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool short_run = argc > 1 && std::string_view(argv[1]) == "--short";
+  const uint64_t flood_ns = short_run ? 200000000ull : 1500000000ull;
   std::printf("# starvation threshold sweep under point-read overload\n");
-  RunWithThreshold(-1.0);  // prevention off: analytics starve
-  RunWithThreshold(0.5);   // balanced
-  RunWithThreshold(0.0);   // preemption disabled: analytics max out
+  RunWithThreshold(-1.0, flood_ns);  // prevention off: analytics starve
+  RunWithThreshold(0.5, flood_ns);   // balanced
+  RunWithThreshold(0.0, flood_ns);   // no preemption: analytics max out
   std::printf(
       "# lower thresholds protect analytics throughput at the cost of "
       "point-read latency/volume\n");

@@ -4,8 +4,12 @@
 // but on a second workload domain, driven through the scheduler layer
 // directly.
 //
-//   $ ./build/examples/ycsb_analytics
+//   $ ./build/examples/ycsb_analytics [--short]
+//
+// --short runs each policy for 0.25 s instead of 2 s (the ctest run).
+#include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 
 #include "sched/scheduler.h"
@@ -16,7 +20,7 @@ using namespace preemptdb;
 
 namespace {
 
-void Run(sched::Policy policy) {
+void Run(sched::Policy policy, double seconds) {
   engine::Engine eng;
   eng.StartBackgroundGc(20);
   workload::YcsbConfig ycfg;
@@ -49,7 +53,7 @@ void Run(sched::Policy policy) {
   cfg.arrival_interval_us = 1000;
   sched::Scheduler s(cfg, w);
   s.Start();
-  std::this_thread::sleep_for(std::chrono::seconds(2));
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   s.Stop();
 
   const auto& point = s.metrics().type(workload::YcsbWorkload::kYcsbTxn);
@@ -57,17 +61,19 @@ void Run(sched::Policy policy) {
   std::printf(
       "%-12s point ops: %6.0f/s  p50=%7.1fus p99=%8.1fus | sweeps: %4.1f/s\n",
       sched::PolicyName(policy),
-      point.committed.load() / 2.0, point.latency.PercentileMicros(50),
-      point.latency.PercentileMicros(99), sweep.committed.load() / 2.0);
+      point.committed.load() / seconds, point.latency.PercentileMicros(50),
+      point.latency.PercentileMicros(99), sweep.committed.load() / seconds);
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool short_run = argc > 1 && std::string_view(argv[1]) == "--short";
+  const double seconds = short_run ? 0.25 : 2.0;
   std::printf("# KV service + analytics sweeps on one PreemptDB instance\n");
-  Run(sched::Policy::kWait);
-  Run(sched::Policy::kCooperative);
-  Run(sched::Policy::kPreempt);
+  Run(sched::Policy::kWait, seconds);
+  Run(sched::Policy::kCooperative, seconds);
+  Run(sched::Policy::kPreempt, seconds);
   std::printf(
       "# point-op latency: PreemptDB decouples it from sweep duration\n");
   return 0;

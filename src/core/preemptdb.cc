@@ -99,11 +99,11 @@ DB::DB(const Options& options) {
     workload.gen_high = [this](sched::Request* out) {
       return PopSubmission(sched::Priority::kHigh, out);
     };
-    // Submissions carry owned closures: a shed request must be requeued,
-    // never dropped, or Drain()/SubmitAndWait() would wait forever.
+    // Submissions carry owned closures: a shed request must be carried to
+    // the next pass, never dropped, or Drain()/SubmitAndWait() would wait
+    // forever.
     workload.on_shed = [this](const sched::Request& r) {
-      auto* c = reinterpret_cast<Closure*>(r.params[0]);
-      while (!hp_submissions_->TryPush(c)) sched_yield();
+      hp_carry_.push_back(reinterpret_cast<Closure*>(r.params[0]));
     };
     // Expired requests are dead, not requeued: complete them as kTimeout so
     // waiters unblock and Drain() still terminates.
@@ -123,18 +123,15 @@ DB::~DB() {
     Drain();
     scheduler_->Stop();
   }
-  // Free any closures that never ran (engine-only DBs or races at exit).
-  // Completion callbacks still fire — "accepted implies completed" holds
-  // even for a submission that slipped in as the DB shut down.
+  // Complete any closures that never ran (engine-only DBs or races at exit)
+  // with kError — "accepted implies completed" holds even for a submission
+  // that slipped in as the DB shut down.
   Closure* c;
-  while (lp_submissions_->TryPop(&c)) {
-    if (c->on_complete) c->on_complete(Rc::kError);
-    delete c;
+  while (lp_submissions_->TryPop(&c)) CompleteWithoutRunning(c, Rc::kError);
+  for (Closure* carried : hp_carry_) {
+    CompleteWithoutRunning(carried, Rc::kError);
   }
-  while (hp_submissions_->TryPop(&c)) {
-    if (c->on_complete) c->on_complete(Rc::kError);
-    delete c;
-  }
+  while (hp_submissions_->TryPop(&c)) CompleteWithoutRunning(c, Rc::kError);
 }
 
 void DB::CompleteWithoutRunning(Closure* c, Rc rc) {
@@ -158,10 +155,18 @@ void DB::CompleteWithoutRunning(Closure* c, Rc rc) {
 }
 
 bool DB::PopSubmission(sched::Priority priority, sched::Request* out) {
-  auto& q = priority == sched::Priority::kHigh ? *hp_submissions_
-                                               : *lp_submissions_;
+  const bool high = priority == sched::Priority::kHigh;
+  auto& q = high ? *hp_submissions_ : *lp_submissions_;
+  auto next = [&](Closure** c) {
+    if (high && !hp_carry_.empty()) {
+      *c = hp_carry_.front();
+      hp_carry_.pop_front();
+      return true;
+    }
+    return q.TryPop(c);
+  };
   Closure* c;
-  while (q.TryPop(&c)) {
+  while (next(&c)) {
     // Dequeue-side expiry: work that died waiting in the submission queue
     // never reaches a worker.
     if (c->deadline_ns != 0 && MonoNanos() >= c->deadline_ns) {

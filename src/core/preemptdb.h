@@ -196,6 +196,12 @@ class DB {
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::unique_ptr<MpmcQueue<Closure*>> lp_submissions_;
   std::unique_ptr<MpmcQueue<Closure*>> hp_submissions_;
+  // HP closures the scheduler shed at a tick deadline, oldest first. Only
+  // the scheduling thread touches it while the scheduler runs, and
+  // PopSubmission takes from it before hp_submissions_, so it holds at most
+  // one batch. (Pushing shed work back into hp_submissions_ could wait
+  // forever: the scheduling thread is that queue's only consumer.)
+  std::deque<Closure*> hp_carry_;
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<bool> stopping_{false};

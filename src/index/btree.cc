@@ -16,52 +16,74 @@ namespace {
 
 // Routing convention: child i of an inner node covers keys in
 // [keys[i-1], keys[i]), i.e., ChildIndex is the first i with key < keys[i].
+// The searches may run on unlatched nodes, so each key is read through
+// OptimisticLoad (the algorithm itself only forms references).
 int UpperBoundIdx(const Key* keys, int count, Key k) {
-  return static_cast<int>(std::upper_bound(keys, keys + count, k) - keys);
+  auto not_above = [k](const Key& x) { return OptimisticLoad(x) <= k; };
+  return static_cast<int>(
+      std::partition_point(keys, keys + count, not_above) - keys);
 }
 
 int LowerBoundIdx(const Key* keys, int count, Key k) {
-  return static_cast<int>(std::lower_bound(keys, keys + count, k) - keys);
+  auto below = [k](const Key& x) { return OptimisticLoad(x) < k; };
+  return static_cast<int>(std::partition_point(keys, keys + count, below) -
+                          keys);
+}
+
+// Shifts a[from, n) of a reachable node one slot right, to a[from + 1, n].
+template <typename T>
+void ShiftRight(T* a, int from, int n) {
+  for (int i = n; i > from; --i) LatchedStore(a[i], a[i - 1]);
+}
+
+// Shifts a[at + 1, n) of a reachable node one slot left, over a[at].
+template <typename T>
+void ShiftLeft(T* a, int at, int n) {
+  for (int i = at; i + 1 < n; ++i) LatchedStore(a[i], a[i + 1]);
 }
 
 }  // namespace
 
 namespace internal {
 
-int LeafNode::LowerBound(Key k) const { return LowerBoundIdx(keys, count, k); }
+int LeafNode::LowerBound(Key k) const {
+  return LowerBoundIdx(keys, OptimisticLoad(count), k);
+}
 
-LeafNode* LeafNode::Split(Key* sep) {
+LeafNode* LeafNode::Split(Key key, Key* sep) {
   auto* right = new LeafNode();
-  int mid = count / 2;
-  right->count = count - mid;
+  int mid = SplitPoint(key > keys[count - 1]);
+  right->count = static_cast<uint16_t>(count - mid);
   std::copy(keys + mid, keys + count, right->keys);
   std::copy(values + mid, values + count, right->values);
-  count = static_cast<uint16_t>(mid);
+  LatchedStore(count, static_cast<uint16_t>(mid));
   *sep = right->keys[0];
   return right;
 }
 
-int InnerNode::ChildIndex(Key k) const { return UpperBoundIdx(keys, count, k); }
+int InnerNode::ChildIndex(Key k) const {
+  return UpperBoundIdx(keys, OptimisticLoad(count), k);
+}
 
 void InnerNode::InsertChild(Key sep, NodeBase* child) {
   PDB_DCHECK(!IsFull());
   int pos = LowerBoundIdx(keys, count, sep);
-  std::copy_backward(keys + pos, keys + count, keys + count + 1);
-  std::copy_backward(children + pos + 1, children + count + 1,
-                     children + count + 2);
-  keys[pos] = sep;
-  children[pos + 1] = child;
-  ++count;
+  ShiftRight(keys, pos, count);
+  ShiftRight(children, pos + 1, count + 1);
+  LatchedStore(keys[pos], sep);
+  LatchedStore(children[pos + 1], child);
+  NoteInsertAt(pos);
+  LatchedStore(count, static_cast<uint16_t>(count + 1));
 }
 
-InnerNode* InnerNode::Split(Key* sep) {
+InnerNode* InnerNode::Split(Key key, Key* sep) {
   auto* right = new InnerNode();
-  int mid = count / 2;
+  int mid = SplitPoint(key > keys[count - 1]);
   *sep = keys[mid];
   right->count = static_cast<uint16_t>(count - mid - 1);
   std::copy(keys + mid + 1, keys + count, right->keys);
   std::copy(children + mid + 1, children + count + 1, right->children);
-  count = static_cast<uint16_t>(mid);
+  LatchedStore(count, static_cast<uint16_t>(mid));
   return right;
 }
 
@@ -81,13 +103,30 @@ void BTree::FreeSubtree(NodeBase* node) {
   }
 }
 
+BTree::Shape BTree::ComputeShape() const {
+  Shape shape;
+  std::function<void(const NodeBase*, int)> walk = [&](const NodeBase* node,
+                                                       int depth) {
+    shape.height = std::max(shape.height, depth);
+    if (node->IsLeaf()) {
+      ++shape.leaves;
+      shape.leaf_entries += node->count;
+      return;
+    }
+    auto* inner = static_cast<const InnerNode*>(node);
+    for (int i = 0; i <= inner->count; ++i) walk(inner->children[i], depth + 1);
+  };
+  walk(root_.load(std::memory_order_acquire), 1);
+  return shape;
+}
+
 bool BTree::LookupOnce(Key key, Value* value, bool* ok) const {
   NodeBase* node = root_.load(std::memory_order_acquire);
   uint64_t v = node->latch.ReadLock();
   if (node != root_.load(std::memory_order_acquire)) return false;
   while (!node->IsLeaf()) {
     auto* inner = static_cast<const InnerNode*>(node);
-    NodeBase* child = inner->children[inner->ChildIndex(key)];
+    NodeBase* child = OptimisticLoad(inner->children[inner->ChildIndex(key)]);
     if (!node->latch.Validate(v)) return false;
     uint64_t cv = child->latch.ReadLock();
     if (!node->latch.Validate(v)) return false;
@@ -96,8 +135,9 @@ bool BTree::LookupOnce(Key key, Value* value, bool* ok) const {
   }
   auto* leaf = static_cast<const LeafNode*>(node);
   int pos = leaf->LowerBound(key);
-  bool found = pos < leaf->count && leaf->keys[pos] == key;
-  Value val = found ? leaf->values[pos] : 0;
+  bool found = pos < OptimisticLoad(leaf->count) &&
+               OptimisticLoad(leaf->keys[pos]) == key;
+  Value val = found ? OptimisticLoad(leaf->values[pos]) : 0;
   if (!node->latch.Validate(v)) return false;
   *ok = found;
   if (found) *value = val;
@@ -119,7 +159,7 @@ int BTree::PrefetchLookup(Key key) const {
   if (node != root_.load(std::memory_order_acquire)) return issued;
   while (!node->IsLeaf()) {
     auto* inner = static_cast<const InnerNode*>(node);
-    NodeBase* child = inner->children[inner->ChildIndex(key)];
+    NodeBase* child = OptimisticLoad(inner->children[inner->ChildIndex(key)]);
     if (!node->latch.Validate(v)) return issued;  // racing writer: give up
     // Prefetch before the child's latch read so the line is (ideally) in
     // flight by the time ReadLock touches it.
@@ -157,7 +197,7 @@ bool BTree::InsertOnce(Key key, Value value, bool upsert, bool* inserted) {
         return false;
       }
       Key sep;
-      InnerNode* right = inner->Split(&sep);
+      InnerNode* right = inner->Split(key, &sep);
       if (parent != nullptr) {
         parent->InsertChild(sep, right);
         parent->latch.WriteUnlock();
@@ -175,7 +215,7 @@ bool BTree::InsertOnce(Key key, Value value, bool upsert, bool* inserted) {
     if (parent != nullptr && !parent->latch.Validate(pv)) return false;
     parent = inner;
     pv = v;
-    NodeBase* child = inner->children[inner->ChildIndex(key)];
+    NodeBase* child = OptimisticLoad(inner->children[inner->ChildIndex(key)]);
     if (!inner->latch.Validate(v)) return false;
     uint64_t cv = child->latch.ReadLock();
     if (!inner->latch.Validate(v)) return false;
@@ -197,14 +237,14 @@ bool BTree::InsertOnce(Key key, Value value, bool upsert, bool* inserted) {
     // The key may already exist even in a full leaf: handle without split.
     int pos = leaf->LowerBound(key);
     if (pos < leaf->count && leaf->keys[pos] == key) {
-      if (upsert) leaf->values[pos] = value;
+      if (upsert) LatchedStore(leaf->values[pos], value);
       if (parent != nullptr) parent->latch.WriteUnlock();
       leaf->latch.WriteUnlock();
       *inserted = false;
       return true;
     }
     Key sep;
-    LeafNode* right = leaf->Split(&sep);
+    LeafNode* right = leaf->Split(key, &sep);
     if (parent != nullptr) {
       parent->InsertChild(sep, right);
       parent->latch.WriteUnlock();
@@ -224,18 +264,17 @@ bool BTree::InsertOnce(Key key, Value value, bool upsert, bool* inserted) {
   if (!leaf->latch.TryUpgrade(v)) return false;
   int pos = leaf->LowerBound(key);
   if (pos < leaf->count && leaf->keys[pos] == key) {
-    if (upsert) leaf->values[pos] = value;
+    if (upsert) LatchedStore(leaf->values[pos], value);
     leaf->latch.WriteUnlock();
     *inserted = false;
     return true;
   }
-  std::copy_backward(leaf->keys + pos, leaf->keys + leaf->count,
-                     leaf->keys + leaf->count + 1);
-  std::copy_backward(leaf->values + pos, leaf->values + leaf->count,
-                     leaf->values + leaf->count + 1);
-  leaf->keys[pos] = key;
-  leaf->values[pos] = value;
-  ++leaf->count;
+  ShiftRight(leaf->keys, pos, leaf->count);
+  ShiftRight(leaf->values, pos, leaf->count);
+  LatchedStore(leaf->keys[pos], key);
+  LatchedStore(leaf->values[pos], value);
+  leaf->NoteInsertAt(pos);
+  LatchedStore(leaf->count, static_cast<uint16_t>(leaf->count + 1));
   leaf->latch.WriteUnlock();
   *inserted = true;
   return true;
@@ -263,7 +302,7 @@ bool BTree::RemoveOnce(Key key, bool* removed) {
   if (node != root_.load(std::memory_order_acquire)) return false;
   while (!node->IsLeaf()) {
     auto* inner = static_cast<InnerNode*>(node);
-    NodeBase* child = inner->children[inner->ChildIndex(key)];
+    NodeBase* child = OptimisticLoad(inner->children[inner->ChildIndex(key)]);
     if (!node->latch.Validate(v)) return false;
     uint64_t cv = child->latch.ReadLock();
     if (!node->latch.Validate(v)) return false;
@@ -272,16 +311,16 @@ bool BTree::RemoveOnce(Key key, bool* removed) {
   }
   auto* leaf = static_cast<LeafNode*>(node);
   int pos = leaf->LowerBound(key);
-  if (pos >= leaf->count || leaf->keys[pos] != key) {
+  if (pos >= OptimisticLoad(leaf->count) ||
+      OptimisticLoad(leaf->keys[pos]) != key) {
     if (!leaf->latch.Validate(v)) return false;
     *removed = false;
     return true;
   }
   if (!leaf->latch.TryUpgrade(v)) return false;
-  std::copy(leaf->keys + pos + 1, leaf->keys + leaf->count, leaf->keys + pos);
-  std::copy(leaf->values + pos + 1, leaf->values + leaf->count,
-            leaf->values + pos);
-  --leaf->count;
+  ShiftLeft(leaf->keys, pos, leaf->count);
+  ShiftLeft(leaf->values, pos, leaf->count);
+  LatchedStore(leaf->count, static_cast<uint16_t>(leaf->count - 1));
   leaf->latch.WriteUnlock();
   *removed = true;
   return true;
@@ -316,18 +355,18 @@ bool BTree::CollectChunk(Key from, bool ascending, ScanChunk* out) const {
     int idx = inner->ChildIndex(from);
     if (ascending) {
       // Smallest separator > from on the path bounds the successor leaf.
-      if (idx < inner->count) {
+      if (idx < OptimisticLoad(inner->count)) {
         has_cont = true;
-        cont = inner->keys[idx];
+        cont = OptimisticLoad(inner->keys[idx]);
       }
     } else {
       // Largest separator <= from bounds the predecessor leaf.
       if (idx > 0) {
         has_cont = true;
-        cont = inner->keys[idx - 1];  // continuation will be cont - 1
+        cont = OptimisticLoad(inner->keys[idx - 1]);  // next from cont - 1
       }
     }
-    NodeBase* child = inner->children[idx];
+    NodeBase* child = OptimisticLoad(inner->children[idx]);
     if (!node->latch.Validate(v)) return false;
     uint64_t cv = child->latch.ReadLock();
     if (!node->latch.Validate(v)) return false;
@@ -337,19 +376,23 @@ bool BTree::CollectChunk(Key from, bool ascending, ScanChunk* out) const {
   auto* leaf = static_cast<const LeafNode*>(node);
   out->n = 0;
   if (ascending) {
-    for (int i = leaf->LowerBound(from); i < leaf->count; ++i) {
-      out->keys[out->n] = leaf->keys[i];
-      out->values[out->n] = leaf->values[i];
+    const int count = OptimisticLoad(leaf->count);
+    for (int i = leaf->LowerBound(from); i < count; ++i) {
+      out->keys[out->n] = OptimisticLoad(leaf->keys[i]);
+      out->values[out->n] = OptimisticLoad(leaf->values[i]);
       ++out->n;
     }
     out->has_next = has_cont;
     out->next = cont;
   } else {
     int end = leaf->LowerBound(from);
-    if (end < leaf->count && leaf->keys[end] == from) ++end;  // include from
+    if (end < OptimisticLoad(leaf->count) &&
+        OptimisticLoad(leaf->keys[end]) == from) {
+      ++end;  // include from
+    }
     for (int i = end - 1; i >= 0; --i) {
-      out->keys[out->n] = leaf->keys[i];
-      out->values[out->n] = leaf->values[i];
+      out->keys[out->n] = OptimisticLoad(leaf->keys[i]);
+      out->values[out->n] = OptimisticLoad(leaf->values[i]);
       ++out->n;
     }
     out->has_next = has_cont && cont > 0;

@@ -28,13 +28,37 @@ namespace internal {
 
 inline constexpr int kLeafCapacity = 64;
 inline constexpr int kInnerCapacity = 64;
+// Past-the-end inserts in a row that mark a node as taking an ascending
+// stream. A random insert lands past the end of a 64-entry node about once
+// in 65, so a random past-the-end split key that follows two more such
+// inserts is about 1 in 275k splits.
+inline constexpr int kAscendingRun = 2;
 
 enum class NodeType : uint8_t { kInner, kLeaf };
 
 struct NodeBase {
   OptLatch latch;
   NodeType type;
+  // Consecutive inserts into this node that landed past every entry it had
+  // (saturating). Marks an ascending stream for the split rule (see
+  // LeafNode::Split). Written under the node's write latch.
+  uint8_t append_run = 0;
   uint16_t count = 0;
+
+  // Records an insert at `pos` (before `count` grows).
+  void NoteInsertAt(int pos) {
+    if (pos < count) {
+      append_run = 0;
+    } else if (append_run < UINT8_MAX) {
+      ++append_run;
+    }
+  }
+  // Index to split this full node at, for an insert that sorts past every
+  // entry iff `past_end`: the right edge in an ascending stream, else the
+  // middle.
+  int SplitPoint(bool past_end) const {
+    return past_end && append_run >= kAscendingRun ? count - 1 : count / 2;
+  }
 
   explicit NodeBase(NodeType t) : type(t) {}
   bool IsLeaf() const { return type == NodeType::kLeaf; }
@@ -45,12 +69,19 @@ struct LeafNode : NodeBase {
   Value values[kLeafCapacity];
 
   LeafNode() : NodeBase(NodeType::kLeaf) {}
-  bool IsFull() const { return count == kLeafCapacity; }
-  // Index of first key >= k.
+  bool IsFull() const { return OptimisticLoad(count) == kLeafCapacity; }
+  // Index of first key >= k. Optimistic: validate the latch before use.
   int LowerBound(Key k) const;
-  // Splits this (locked) leaf; returns the new right sibling and its
-  // separator key (first key of the right node).
-  LeafNode* Split(Key* sep);
+  // Splits this (locked, full) leaf on behalf of an insert of `key`;
+  // returns the new right sibling and its separator key (first key of the
+  // right node). When `key` sorts past every entry and so did the last
+  // kAscendingRun inserts (an ascending stream), the split is at the right
+  // edge: the right node gets only the last entry, so the stream leaves
+  // its leaves 63/64 full instead of half full. Any other insert splits at
+  // the middle. (A lone past-the-end key is not enough: random inserts
+  // land there about once per 65 splits, and a right-edge split there
+  // lowers random-order fill.)
+  LeafNode* Split(Key key, Key* sep);
 };
 
 struct InnerNode : NodeBase {
@@ -59,10 +90,13 @@ struct InnerNode : NodeBase {
   NodeBase* children[kInnerCapacity + 1];
 
   InnerNode() : NodeBase(NodeType::kInner) {}
-  bool IsFull() const { return count == kInnerCapacity; }
+  bool IsFull() const { return OptimisticLoad(count) == kInnerCapacity; }
+  // The child covering `k`. Optimistic: validate the latch before use.
   int ChildIndex(Key k) const;
   void InsertChild(Key sep, NodeBase* child);
-  InnerNode* Split(Key* sep);
+  // Same split rule as LeafNode::Split: in an ascending stream only the
+  // last child moves right (the new node starts with no separator).
+  InnerNode* Split(Key key, Key* sep);
 };
 
 }  // namespace internal
@@ -108,6 +142,15 @@ class BTree {
   void ScanReverse(Key begin, Key end, const ScanCallback& cb) const;
 
   uint64_t Size() const { return size_.load(std::memory_order_relaxed); }
+
+  // Leaf census from a full walk (tests check the split rule with it). Not
+  // synchronized with writers: call it on a quiescent tree.
+  struct Shape {
+    uint64_t leaves = 0;
+    uint64_t leaf_entries = 0;
+    int height = 0;  // levels, a lone root leaf is 1
+  };
+  Shape ComputeShape() const;
 
  private:
   struct ScanChunk;

@@ -539,8 +539,20 @@ Rc Server::DefaultKvHandler(engine::Engine& eng, const RequestHeader& req,
       AppendU64(reply, bytes);
       return Rc::kOk;
     }
+    // The admin and replication planes are answered off the transaction
+    // path; admission never submits them (or an unknown opcode) here.
+    case Op::kMetrics:
+    case Op::kHealth:
+    case Op::kTraceSnapshot:
+    case Op::kGetConfig:
+    case Op::kSetConfig:
+    case Op::kReplSubscribe:
+    case Op::kReplSnapshot:
+    case Op::kReplAppend:
+    case Op::kReplAck:
+    default:
+      return Rc::kError;
   }
-  return Rc::kError;  // unreachable: opcodes validated at admission
 }
 
 }  // namespace preemptdb::net

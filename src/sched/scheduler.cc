@@ -127,18 +127,20 @@ size_t Scheduler::PlaceHighPriorityBatch(std::vector<Request>& batch,
   const bool preempt = config_.policy == Policy::kPreempt;
   // Tunables read once per placement call: one Apply() generation governs a
   // whole batch, so a mid-batch retune cannot split it across two policies.
-  const bool starvation_on = tunables_.starvation_enabled();
   const double starvation_threshold = tunables_.starvation_threshold();
+  // Under an enabled threshold of 0 the work is still placed but gets no
+  // interrupt: it runs on the regular path only. Any other threshold skips
+  // a worker whose LP transaction is already starved past it.
+  const bool regular_only = tunables_.regular_path_hp_only();
+  const bool interrupts = preempt && !regular_only;
+  const bool skip_starved = tunables_.starvation_enabled() && !regular_only;
   PruneExpired(batch, next, MonoNanos());
   while (next < batch.size()) {
     bool progress = false;
     for (size_t i = 0; i < workers_.size() && next < batch.size(); ++i) {
       Worker& w = *workers_[rr_next_];
       rr_next_ = (rr_next_ + 1) % workers_.size();
-      // >= so that an enabled threshold of 0 disables preemptive HP
-      // execution entirely (paper §6.4: "prevents preemptive context to
-      // execute prioritized transactions").
-      if (starvation_on && w.StarvationLevel() >= starvation_threshold) {
+      if (skip_starved && w.StarvationLevel() >= starvation_threshold) {
         continue;
       }
       // Fault injection: treat this worker's queue as full for the round,
@@ -162,12 +164,12 @@ size_t Scheduler::PlaceHighPriorityBatch(std::vector<Request>& batch,
       // Degraded workers get work but no interrupt: their signal path is the
       // thing that failed, and their boundary checks + yield hooks drain the
       // queue cooperatively until a probe proves delivery works again.
-      if (pushed > 0 || (preempt && !w.hp_queue().Empty())) {
+      if (pushed > 0 || (interrupts && !w.hp_queue().Empty())) {
         if (pushed > 0) {
           progress = true;
           w.Wake();  // an idle worker is parked, not polling
         }
-        if (preempt && !w.degraded()) SendTracked(w);
+        if (interrupts && !w.degraded()) SendTracked(w);
       }
     }
     if (next >= batch.size()) break;

@@ -113,6 +113,11 @@ class TunableConfig {
   double starvation_threshold() const {
     return starvation_threshold_.load(std::memory_order_relaxed);
   }
+  // An enabled threshold of 0 (paper §6.4): HP work is never run by
+  // preemption, only on the regular path between low-priority rounds.
+  bool regular_path_hp_only() const {
+    return starvation_enabled() && starvation_threshold() <= 0;
+  }
   size_t hp_batch_size() const {
     return hp_batch_size_.load(std::memory_order_relaxed);
   }

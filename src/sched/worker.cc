@@ -241,6 +241,16 @@ void Worker::InterleaveLoop() {
       run_hp();
       continue;
     }
+    if (!prefer_hp && tunables_->regular_path_hp_only()) {
+      // No preemption will run the HP queue, so the regular path does, at
+      // most one queue's worth per round: HP work waits for the running
+      // LP round instead of pausing it, and LP work still starts between
+      // batches (preferring HP outright would starve it, as under Wait).
+      for (size_t budget = config_.hp_queue_capacity; budget > 0 && try_hp();
+           --budget) {
+        run_hp();
+      }
+    }
 
     // Refill free slots up to the live interleave depth (TunableConfig keeps
     // it in [1, kInterleaveSlotsMax]). Depth shrink takes effect by

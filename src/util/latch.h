@@ -48,6 +48,23 @@ class SpinLatchGuard {
   SpinLatch& latch_;
 };
 
+// Fields of an OptLatch-guarded node that optimistic readers load while the
+// latch holder may be changing them. Both sides use relaxed atomic accesses:
+// the version check discards whatever a racing load saw, and the accesses
+// themselves are not data races (so TSan checks them like any other). On
+// x86-64 both are plain moves. The latch holder's own loads, and stores to a
+// node no reader can reach yet, stay plain.
+template <typename T>
+inline T OptimisticLoad(const T& field) {
+  return std::atomic_ref<T>(const_cast<T&>(field))
+      .load(std::memory_order_relaxed);
+}
+
+template <typename T>
+inline void LatchedStore(T& field, T value) {
+  std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+}
+
 // Optimistic versioned latch for lock-coupling indexes: readers sample the
 // version, do their work, and revalidate; writers make the version odd while
 // holding exclusive access.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <random>
@@ -246,6 +247,128 @@ TEST_P(BTreeModelTest, MatchesStdMap) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeModelTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+// --- Split policy ----------------------------------------------------------
+
+constexpr uint64_t kSplitN = 100000;
+
+// Every key in `keys` (value = key + 1) is found, and both scan directions
+// visit exactly the sorted key set.
+void ExpectExactContents(const BTree& t, std::vector<Key> keys) {
+  std::sort(keys.begin(), keys.end());
+  ASSERT_EQ(t.Size(), keys.size());
+  for (Key k : keys) {
+    Value v;
+    ASSERT_TRUE(t.Lookup(k, &v)) << "key " << k;
+    ASSERT_EQ(v, k + 1);
+  }
+  std::vector<Key> seen;
+  seen.reserve(keys.size());
+  t.Scan(0, UINT64_MAX, [&](Key k, Value v) {
+    seen.push_back(k);
+    return v == k + 1;
+  });
+  ASSERT_EQ(seen, keys);
+  seen.clear();
+  t.ScanReverse(0, UINT64_MAX, [&](Key k, Value) {
+    seen.push_back(k);
+    return true;
+  });
+  std::reverse(seen.begin(), seen.end());
+  ASSERT_EQ(seen, keys);
+}
+
+// 1..n in a fixed pseudo-random order (Fisher-Yates over FastRandom, so the
+// order, and the leaf counts below, do not depend on the standard library).
+std::vector<Key> ShuffledKeys(uint64_t n, uint64_t seed) {
+  std::vector<Key> keys(n);
+  for (uint64_t i = 0; i < n; ++i) keys[i] = i + 1;
+  FastRandom rng(seed);
+  for (uint64_t i = n - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.UniformU64(0, i)]);
+  }
+  return keys;
+}
+
+TEST(BTreeSplit, AscendingInsertsFillLeaves) {
+  BTree t;
+  std::vector<Key> keys;
+  for (Key k = 1; k <= kSplitN; ++k) {
+    ASSERT_TRUE(t.Insert(k, k + 1));
+    keys.push_back(k);
+  }
+  // Right-edge splits leave 63 of 64 slots used in every leaf but the last;
+  // middle splits would leave ~kSplitN / 32.
+  BTree::Shape shape = t.ComputeShape();
+  EXPECT_LE(shape.leaves, (kSplitN + 62) / 63 + 1);
+  EXPECT_EQ(shape.leaf_entries, kSplitN);
+  EXPECT_EQ(shape.height, 3);
+  ExpectExactContents(t, keys);
+}
+
+TEST(BTreeSplit, DescendingInsertsStayOrdered) {
+  BTree t;
+  std::vector<Key> keys;
+  for (Key k = kSplitN; k >= 1; --k) {
+    ASSERT_TRUE(t.Insert(k, k + 1));
+    keys.push_back(k);
+  }
+  ExpectExactContents(t, keys);
+}
+
+TEST(BTreeSplit, RandomInsertsStayOrderedAndKeepMiddleSplitFill) {
+  // Leaf counts of the same inputs under the plain middle-split rule: a
+  // random order must not pay for the ascending-stream rule.
+  const struct {
+    uint64_t seed;
+    uint64_t middle_split_leaves;
+  } kCases[] = {{1, 2258}, {7, 2234}, {42, 2246}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.seed);
+    BTree t;
+    std::vector<Key> keys = ShuffledKeys(kSplitN, c.seed);
+    for (Key k : keys) ASSERT_TRUE(t.Insert(k, k + 1));
+    EXPECT_LE(t.ComputeShape().leaves, c.middle_split_leaves);
+    ExpectExactContents(t, keys);
+  }
+}
+
+TEST(BTreeSplit, InterleavedAscendingStreamsStayOrdered) {
+  // Several ascending streams at once, like per-district TPC-C order ids.
+  constexpr uint64_t kStreams = 10;
+  BTree t;
+  std::vector<Key> keys;
+  for (uint64_t i = 0; i < kSplitN / kStreams; ++i) {
+    for (uint64_t s = 0; s < kStreams; ++s) {
+      Key k = s * 1000000 + i;
+      ASSERT_TRUE(t.Insert(k, k + 1));
+      keys.push_back(k);
+    }
+  }
+  // The middle-split rule leaves 3120 leaves here.
+  EXPECT_LE(t.ComputeShape().leaves, 3120u);
+  ExpectExactContents(t, keys);
+}
+
+TEST(BTreeSplit, AscendingAfterRemovalsAndUpserts) {
+  // Upserts of existing keys and removals must not confuse the stream
+  // detection: the tree stays exact either way.
+  BTree t;
+  std::vector<Key> keys;
+  for (Key k = 1; k <= 20000; ++k) {
+    ASSERT_TRUE(t.Insert(k, k + 1));
+    if (k % 7 == 0) {
+      ASSERT_FALSE(t.Upsert(k, k + 1));
+      ASSERT_FALSE(t.Insert(k, 0));
+    }
+    if (k % 11 == 0) {
+      ASSERT_TRUE(t.Remove(k - 5));
+      keys.erase(std::find(keys.begin(), keys.end(), k - 5));
+    }
+    keys.push_back(k);
+  }
+  ExpectExactContents(t, keys);
+}
+
 TEST(BTreeConcurrency, DisjointInsertersThenVerify) {
   BTree t;
   constexpr int kThreads = 4;
@@ -310,6 +433,48 @@ TEST(BTreeConcurrency, ReadersDuringInserts) {
   scanner.join();
   EXPECT_GT(reads.load(), 0u);
   EXPECT_EQ(t.Size(), 10000u);
+}
+
+TEST(BTreeConcurrency, AscendingInsertersWithReaders) {
+  // Writers draw keys from one shared counter, so the tree takes a single
+  // ascending stream whose neighbours race each other into the rightmost
+  // leaf; readers scan and look up while right-edge splits reshape it.
+  BTree t;
+  constexpr int kWriters = 3;
+  constexpr uint64_t kKeys = 30000;
+  std::atomic<uint64_t> next{1};
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    FastRandom rng(3);
+    while (!stop.load()) {
+      Key prev = 0;
+      t.Scan(0, UINT64_MAX, [&](Key k, Value v) {
+        EXPECT_GT(k, prev);
+        EXPECT_EQ(v, k + 1);
+        prev = k;
+        return true;
+      });
+      Key k = rng.UniformU64(1, kKeys);
+      Value v;
+      if (t.Lookup(k, &v)) {
+        EXPECT_EQ(v, k + 1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      for (Key k = next.fetch_add(1); k <= kKeys; k = next.fetch_add(1)) {
+        ASSERT_TRUE(t.Insert(k, k + 1));
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true);
+  reader.join();
+  std::vector<Key> keys;
+  for (Key k = 1; k <= kKeys; ++k) keys.push_back(k);
+  ExpectExactContents(t, keys);
 }
 
 TEST(BTreeConcurrency, MixedInsertRemoveStress) {

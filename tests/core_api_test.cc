@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <thread>
 
 #include "core/preemptdb.h"
@@ -114,6 +118,86 @@ TEST(DbApi, DrainWaitsForAllSubmissions) {
   }
   db->Drain();
   EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(DbApi, ShedHighPriorityWorkNeverWedgesDrain) {
+  // HP submissions arrive faster than the one worker's one-slot HP queue
+  // takes them, so every placement pass sheds part of its batch while a
+  // flooding submitter keeps the bounded submission queue full. Shed work
+  // must wait somewhere that does not need a free slot in that queue, or
+  // the scheduling thread (its only consumer) waits on itself and Drain()
+  // never returns.
+  auto opts = WithScheduler(sched::Policy::kPreempt);
+  opts.scheduler.num_workers = 1;
+  opts.scheduler.hp_queue_capacity = 1;
+  opts.scheduler.arrival_interval_us = 200;
+  opts.submit_queue_capacity = 4;
+  auto db = DB::Open(opts);
+  std::atomic<uint64_t> ran{0};
+  uint64_t accepted = 0;
+  const uint64_t flood_until = MonoMicros() + 300000;
+  while (MonoMicros() < flood_until) {
+    SubmitResult r = db->Submit(sched::Priority::kHigh, [&](engine::Engine&) {
+      uint64_t until = MonoMicros() + 200;
+      while (MonoMicros() < until) {
+      }
+      ran.fetch_add(1);
+      return Rc::kOk;
+    });
+    if (r == SubmitResult::kAccepted) ++accepted;
+  }
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    db->Drain();
+    drained.store(true);
+  });
+  const uint64_t bound = MonoMicros() + 20000000;
+  while (!drained.load() && MonoMicros() < bound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!drained.load()) {
+    // The DB cannot be torn down while its scheduling thread is wedged.
+    std::fprintf(stderr, "Drain() did not return within 20 s\n");
+    std::abort();
+  }
+  drainer.join();
+  EXPECT_GT(db->scheduler().hp_dropped(), 0u) << "the flood must shed";
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(ran.load(), accepted);
+}
+
+TEST(DbApi, StarvationThresholdZeroStillRunsHighPriority) {
+  // An enabled threshold of 0 forbids preemption, not HP work: submitted HP
+  // transactions complete on the regular path while LP work keeps the only
+  // worker busy.
+  auto opts = WithScheduler(sched::Policy::kPreempt);
+  opts.scheduler.num_workers = 1;
+  opts.scheduler.tunables.starvation_enabled = true;
+  opts.scheduler.tunables.starvation_threshold = 0.0;
+  auto db = DB::Open(opts);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> lp_done{0};
+  std::function<void()> submit_lp = [&] {
+    db->Submit(sched::Priority::kLow, [&](engine::Engine&) {
+      uint64_t until = MonoMicros() + 5000;
+      while (MonoMicros() < until) engine::hooks::OnRecordAccess();
+      lp_done.fetch_add(1);
+      if (!stop.load()) submit_lp();
+      return Rc::kOk;
+    });
+  };
+  submit_lp();
+  submit_lp();
+  for (int i = 0; i < 20; ++i) {
+    SubmitOptions o;
+    o.timeout_us = 2000000;
+    auto noop = [](engine::Engine&) { return Rc::kOk; };
+    EXPECT_EQ(Rc::kOk, db->SubmitAndWait(sched::Priority::kHigh, noop, o));
+  }
+  stop.store(true);
+  db->Drain();
+  EXPECT_GT(lp_done.load(), 0u);
+  EXPECT_EQ(db->scheduler().uipis_sent(), 0u);
 }
 
 TEST(DbApi, MetricsTrackSubmissions) {
